@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("smtlib-like", "stats-json"), default="smtlib-like")
     p.add_argument("--strategy", choices=("default", "reversed"), default="default")
     p.add_argument("--prune", choices=("syntactic", "semantic"), default="syntactic")
-    p.add_argument("--jobs", type=int, default=1)
     return p
 
 
@@ -125,7 +124,6 @@ def main(argv=None) -> int:
                 max_branches=args.max_branches,
                 timeout_at=timeout_at,
                 prune=args.prune,
-                jobs=args.jobs,
             )
         if args.algorithm in ("conditional", "both"):
             cond = compute_conditional_ui(
@@ -154,7 +152,8 @@ def main(argv=None) -> int:
                 return 1
             verified_line = "equivalent"
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        counters = f" {json.dumps(exc.stats, sort_keys=True)}" if exc.stats else ""
+        print(f"resource limit: {exc}{counters}", file=sys.stderr)
         return 3
 
     mode = "unravelled" if args.unravel else "compressed"

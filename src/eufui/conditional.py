@@ -355,14 +355,18 @@ class UiResultCnf:
     s3: list
     stats: dict
     falsified: bool = False
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def formula(self, unravel: bool = False):
+        """The conjunction, built once per unravel flag."""
         if self.falsified:
             return FALSE
-        parts = [lit_general(l) for l in self.passthrough]
-        parts += [phi.formula(unravel=unravel) for phi in self.phis]
-        body = wrap_definitions(self.initial_delta.entries, mk_and(parts))
-        return expand_lets(body) if unravel else body
+        if unravel not in self._built:
+            parts = [lit_general(l) for l in self.passthrough]
+            parts += [phi.formula(unravel=unravel) for phi in self.phis]
+            body = wrap_definitions(self.initial_delta.entries, mk_and(parts))
+            self._built[unravel] = expand_lets(body) if unravel else body
+        return self._built[unravel]
 
 
 def compute_conditional_ui(

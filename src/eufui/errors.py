@@ -30,12 +30,3 @@ class ResourceLimitError(EufUiError):
         super().__init__(message)
         self.stats = stats or {}
 
-
-class VerificationError(EufUiError):
-    """An oracle check failed; carries the offending cube."""
-
-    exit_code = 1
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness

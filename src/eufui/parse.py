@@ -28,6 +28,10 @@ from .formulas import (
 )
 from .terms import Constraint, Eq, Ne, Symbol, Term, const, intern, mk_symbol
 
+# Deepest accepted application nesting in a problem term; the engines, the
+# oracle and the printer recurse on term depth.
+MAX_TERM_DEPTH = 256
+
 
 @dataclass
 class Problem:
@@ -220,7 +224,7 @@ def parse(text) -> Problem:
     return Problem(sort or "U", functions, parameters, eliminate, body, symbols)
 
 
-def _parse_term(node: SExpr, symbols: dict[str, Symbol]) -> Term:
+def _parse_term(node: SExpr, symbols: dict[str, Symbol], depth: int = 0) -> Term:
     if isinstance(node.value, str):
         sym = symbols.get(node.value)
         if sym is None:
@@ -234,11 +238,13 @@ def _parse_term(node: SExpr, symbols: dict[str, Symbol]) -> Term:
         return const(sym)
     if not node.value:
         raise InputError("empty term", node.line, node.col)
+    if depth == MAX_TERM_DEPTH:
+        raise InputError(f"term nested deeper than {MAX_TERM_DEPTH}", node.line, node.col)
     head = _atom(node.value[0], "a function name")
     sym = symbols.get(head)
     if sym is None:
         raise InputError(f"undeclared symbol {head}", node.value[0].line, node.value[0].col)
-    args = [_parse_term(sub, symbols) for sub in node.value[1:]]
+    args = [_parse_term(sub, symbols, depth + 1) for sub in node.value[1:]]
     if sym.arity != len(args):
         raise InputError(
             f"arity mismatch: {sym.name} expects {sym.arity} arguments, got {len(args)}",

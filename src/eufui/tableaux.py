@@ -9,8 +9,7 @@ and are discarded, so each surviving branch contributes (delta, phi).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError
 from .euf import cc_sat
@@ -39,23 +38,6 @@ DEFAULT_MAX_BRANCHES = 1_000_000
 RULE_NAMES = ("1.0", "1.i", "1.ii", "2", "3", "4")
 
 
-def _zero_stats() -> dict:
-    return {
-        "branches_explored": 0,
-        "rule4_firings": 0,
-        "rule_apps": {r: 0 for r in RULE_NAMES},
-        "max_branch_steps": 0,
-    }
-
-
-def _merge_stats(into: dict, other: dict):
-    into["branches_explored"] += other["branches_explored"]
-    into["rule4_firings"] += other["rule4_firings"]
-    for r in RULE_NAMES:
-        into["rule_apps"][r] += other["rule_apps"][r]
-    into["max_branch_steps"] = max(into["max_branch_steps"], other["max_branch_steps"])
-
-
 @dataclass
 class Disjunct:
     delta: DagDefinition
@@ -73,23 +55,26 @@ class Disjunct:
 class UiResultDnf:
     disjuncts: list
     stats: dict
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def formula(self, unravel: bool = False):
-        return mk_or([d.formula(unravel=unravel) for d in self.disjuncts])
+        """The disjunction, built once per unravel flag."""
+        if unravel not in self._built:
+            self._built[unravel] = mk_or([d.formula(unravel=unravel) for d in self.disjuncts])
+        return self._built[unravel]
 
 
 class _State:
-    __slots__ = ("delta", "psi", "phi", "ynext", "steps")
+    __slots__ = ("delta", "psi", "phi", "ynext")
 
-    def __init__(self, delta, psi, phi, ynext, steps=0):
+    def __init__(self, delta, psi, phi, ynext):
         self.delta = delta
         self.psi = psi
         self.phi = phi
         self.ynext = ynext
-        self.steps = steps
 
     def copy(self) -> "_State":
-        return _State(self.delta.copy(), list(self.psi), list(self.phi), self.ynext, self.steps)
+        return _State(self.delta.copy(), list(self.psi), list(self.phi), self.ynext)
 
 
 def _pairs(n: int, forward: bool):
@@ -118,7 +103,6 @@ def compute_tableaux_ui(
     max_branches: int = DEFAULT_MAX_BRANCHES,
     timeout_at: float | None = None,
     prune: str = "syntactic",
-    jobs: int = 1,
 ) -> UiResultDnf:
     """Run the branching elimination to completion and collect all disjuncts."""
     if strategy not in ("default", "reversed"):
@@ -128,7 +112,7 @@ def compute_tableaux_ui(
     forward = strategy == "default"
     taken = frozenset(pre.taken_names)
 
-    stats = _zero_stats()
+    stats = {"branches_explored": 0, "rule4_firings": 0, "rule_apps": dict.fromkeys(RULE_NAMES, 0)}
     if pre.falsified:
         return UiResultDnf([], stats)
 
@@ -185,7 +169,6 @@ def compute_tableaux_ui(
 
     def apply_rule(state: _State, kind: str, payload) -> str:
         psi = state.psi
-        state.steps += 1
         if kind == "1.0":
             if isinstance(psi[payload], Diseq):
                 return "closed"
@@ -215,7 +198,6 @@ def compute_tableaux_ui(
 
     def split(state: _State, payload) -> list:
         i, j, diffs = payload
-        state.steps += 1
         succs = []
         s0 = state.copy()
         a, b = s0.psi[i].rhs, s0.psi[j].rhs
@@ -239,80 +221,38 @@ def compute_tableaux_ui(
         flat = unravel_constraint(state.delta, Constraint(list(state.phi)))
         return cc_sat(flat.literals)
 
-    def explore(root: _State):
-        local = _zero_stats()
-        found = []
-        stack = [root]
-        ticks = 0
-        while stack:
-            check_time()
-            state = stack.pop()
-            while True:
-                ticks += 1
-                if not ticks % 256:
-                    check_time()
-                redex = find_redex(state)
-                if redex is None:
-                    local["branches_explored"] += 1
-                    local["max_branch_steps"] = max(local["max_branch_steps"], state.steps)
-                    if local["branches_explored"] > max_branches:
-                        raise ResourceLimitError("branch limit exceeded", local)
-                    if keep(state):
-                        found.append(Disjunct(state.delta, list(state.phi)))
-                    break
-                kind, payload = redex
-                if kind == "4":
-                    local["rule_apps"]["4"] += 1
-                    local["rule4_firings"] += 1
-                    for succ in reversed(split(state, payload)):
-                        stack.append(succ)
-                    break
-                local["rule_apps"][kind] += 1
-                if apply_rule(state, kind, payload) == "closed":
-                    local["branches_explored"] += 1
-                    local["max_branch_steps"] = max(local["max_branch_steps"], state.steps)
-                    if local["branches_explored"] > max_branches:
-                        raise ResourceLimitError("branch limit exceeded", local)
-                    break
-        return found, local
-
-    root = _State(pre.initial_delta.copy(), list(pre.s1), list(pre.passthrough.literals), 1)
     disjuncts: list[Disjunct] = []
-
-    if jobs > 1:
-        # Advance the root to its first split, then explore subtrees in a pool.
-        prefix_succs = None
+    stack = [_State(pre.initial_delta.copy(), list(pre.s1), list(pre.passthrough.literals), 1)]
+    ticks = 0
+    while stack:
+        check_time()
+        state = stack.pop()
+        # Apply rules until the branch splits, closes, or has no redex left.
         while True:
-            check_time()
-            redex = find_redex(root)
+            ticks += 1
+            if not ticks % 256:
+                check_time()
+            redex = find_redex(state)
             if redex is None:
+                outcome = "terminal"
                 break
             kind, payload = redex
-            if kind == "4":
-                stats["rule_apps"]["4"] += 1
-                stats["rule4_firings"] += 1
-                prefix_succs = split(root, payload)
-                break
             stats["rule_apps"][kind] += 1
-            if apply_rule(root, kind, payload) == "closed":
-                stats["branches_explored"] += 1
-                stats["max_branch_steps"] = root.steps
-                return UiResultDnf([], stats)
-        if prefix_succs is None:
-            jobs = 1  # single chain, nothing to parallelize
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(explore, prefix_succs))
-            for found, local in results:
-                disjuncts.extend(found)
-                _merge_stats(stats, local)
-            if stats["branches_explored"] > max_branches:
-                raise ResourceLimitError("branch limit exceeded", stats)
-
-    if jobs == 1:
-        found, local = explore(root)
-        disjuncts.extend(found)
-        _merge_stats(stats, local)
+            if kind == "4":
+                stats["rule4_firings"] += 1
+                stack.extend(reversed(split(state, payload)))
+                outcome = "split"
+                break
+            if apply_rule(state, kind, payload) == "closed":
+                outcome = "closed"
+                break
+        if outcome == "split":
+            continue
+        stats["branches_explored"] += 1
+        if stats["branches_explored"] > max_branches:
+            raise ResourceLimitError("branch limit exceeded", stats)
+        if outcome == "terminal" and keep(state):
+            disjuncts.append(Disjunct(state.delta, list(state.phi)))
 
     disjuncts.sort(key=lambda d: format_formula(d.formula()))
     return UiResultDnf(disjuncts, stats)

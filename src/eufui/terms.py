@@ -6,7 +6,6 @@ across runs. All values here are immutable once constructed.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 KINDS = ("function", "parameter", "quantified", "defined", "fresh-constant")
@@ -22,10 +21,8 @@ _KIND_RANK = {
     "function": 0,
 }
 
-_lock = threading.Lock()
 _next_symbol_uid = 0
 _term_table: dict[tuple[int, tuple[int, ...]], "Term"] = {}
-_terms: list["Term"] = []
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +46,8 @@ def mk_symbol(name: str, arity: int, kind: str) -> Symbol:
         raise ValueError(f"unknown symbol kind {kind!r}")
     if kind != "function" and arity != 0:
         raise ValueError(f"{kind} symbol {name!r} must have arity 0")
-    with _lock:
-        uid = _next_symbol_uid
-        _next_symbol_uid += 1
+    uid = _next_symbol_uid
+    _next_symbol_uid += 1
     return Symbol(name, arity, kind, uid)
 
 
@@ -73,13 +69,10 @@ def intern(head: Symbol, args: tuple[Term, ...] | list[Term] = ()) -> Term:
     if len(args) != head.arity:
         raise ValueError(f"arity mismatch: {head.name} expects {head.arity} args, got {len(args)}")
     key = (head.uid, tuple(a.id for a in args))
-    with _lock:
-        t = _term_table.get(key)
-        if t is None:
-            t = Term(len(_terms), head, args)
-            _terms.append(t)
-            _term_table[key] = t
-        return t
+    t = _term_table.get(key)
+    if t is None:
+        t = _term_table[key] = Term(len(_term_table), head, args)
+    return t
 
 
 def const(sym: Symbol) -> Term:
@@ -187,25 +180,11 @@ class Ne:
         return f"{self.lhs!r}!={self.rhs!r}"
 
 
-def mk_funeq(head: Symbol, args, rhs: Term) -> FunEq:
-    app = intern(head, tuple(args))
-    for a in app.args:
-        if a.args:
-            raise ValueError("FunEq arguments must be 0-ary")
-    if rhs.args:
-        raise ValueError("FunEq right side must be 0-ary")
-    return FunEq(app, rhs)
-
-
 def orient(lit):
     """Store VarEq/Diseq with the larger-ranked symbol on the left."""
     if isinstance(lit, (VarEq, Diseq)) and lit.lhs.head.rank() < lit.rhs.head.rank():
         return type(lit)(lit.rhs, lit.lhs)
     return lit
-
-
-def lit_terms(lit):
-    return (lit.lhs, lit.rhs)
 
 
 def lit_is_efree(lit) -> bool:
@@ -247,9 +226,6 @@ class DagDefinition:
 
     def copy(self) -> "DagDefinition":
         return DagDefinition(list(self.entries))
-
-    def defined(self) -> list[Symbol]:
-        return [y for y, _ in self.entries]
 
 
 def sigma_delta_apply(delta: DagDefinition, t: Term, memo: dict | None = None) -> Term:

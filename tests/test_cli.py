@@ -127,6 +127,35 @@ def test_malformed_input_reports_position(tmp_path, capsys):
     assert re.match(r"error: \d+:\d+: ", err)
 
 
+def deep_term_input(depth):
+    t = "z"
+    for _ in range(depth):
+        t = f"(f {t})"
+    return (
+        "(declare-sort U 0)(declare-fun f (U) U)(declare-fun g (U) U)"
+        "(declare-const e U)(declare-const z U)(declare-const w U)(eliminate e)"
+        f"(assert (= e {t}))(assert (= (g e) w))"
+    )
+
+
+def test_deep_term_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, [write(tmp_path, deep_term_input(3000))])
+    assert code == 2
+    assert out == ""
+    assert re.match(r"error: \d+:\d+: term nested deeper than 256", err)
+    assert "Traceback" not in err
+
+
+def test_term_at_depth_limit_is_accepted(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["--algorithm", "both", "--verify", "equivalence",
+         write(tmp_path, deep_term_input(256))],
+    )
+    assert code == 0
+    assert out.splitlines()[2] == "equivalent"
+
+
 def test_equivalence_check_requires_both_algorithms(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--verify", "equivalence", write(tmp_path, EX22)])
@@ -143,6 +172,8 @@ def test_branch_cap_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "branch limit exceeded" in err
+    counters = json.loads(err.split("branch limit exceeded ", 1)[1])
+    assert counters["branches_explored"] > 4
 
 
 def test_clause_cap_exits_3(tmp_path, capsys):
@@ -194,10 +225,3 @@ def test_stats_json_runs_are_byte_identical(tmp_path, capsys):
     first = run_cli(capsys, argv)
     second = run_cli(capsys, argv)
     assert first == second
-
-
-def test_jobs_do_not_change_output(tmp_path, capsys):
-    path = write(tmp_path, EX16)
-    _, serial, _ = run_cli(capsys, ["--algorithm", "tableaux", path])
-    _, pooled, _ = run_cli(capsys, ["--algorithm", "tableaux", "--jobs", "3", path])
-    assert serial == pooled

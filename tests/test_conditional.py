@@ -290,6 +290,16 @@ def test_deterministic_output():
     assert a.stats == b.stats
 
 
+def test_result_formulas_built_once():
+    pre = flatten(parse(EX39))
+    cond = compute_conditional_ui(pre)
+    tab = compute_tableaux_ui(pre)
+    for result in (cond, tab):
+        assert result.formula() is result.formula()
+        assert result.formula(unravel=True) is result.formula(unravel=True)
+        assert format_formula(result.formula()) != format_formula(result.formula(unravel=True))
+
+
 def merged_pair_clause(a: HornClause, b: HornClause):
     """The congruence merge of two same-shape conditional applications."""
     ante = list(a.antecedent) + list(b.antecedent)

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_problem
 from test_preprocess import EX16, EX22, EX39
 
+from eufui import tableaux
 from eufui.errors import ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
 from eufui.formulas import FALSE, formula_atoms
@@ -90,17 +91,36 @@ def test_semantic_prune_keeps_equivalence():
     assert len(ui.disjuncts) <= len(plain.disjuncts)
 
 
-def test_jobs_output_identical():
-    _, one = run_text(EX16)
-    _, many = run_text(EX16, jobs=3)
-    assert format_formula(one.formula()) == format_formula(many.formula())
-    assert one.stats == many.stats
-
-
 def test_branch_cap():
     problem = parse(EX16)
     with pytest.raises(ResourceLimitError):
         compute_tableaux_ui(flatten(problem), max_branches=4)
+
+
+def shared_evar_text(k):
+    """f(e, a_i) = b_i for i < k: every pair of applications can split."""
+    decls = "".join(f"(declare-const a{i} U)(declare-const b{i} U)" for i in range(k))
+    lits = "".join(f"(assert (= (f e a{i}) b{i}))" for i in range(k))
+    return f"(declare-sort U 0)(declare-fun f (U U) U)(declare-const e U){decls}(eliminate e){lits}"
+
+
+def test_timeout_reports_work_done(monkeypatch):
+    pre = flatten(parse(shared_evar_text(7)))
+    assert compute_tableaux_ui(pre).stats["branches_explored"] == 877
+
+    class CountingClock:
+        reads = 0
+
+        @classmethod
+        def monotonic(cls):
+            cls.reads += 1
+            return float(cls.reads)
+
+    monkeypatch.setattr(tableaux, "time", CountingClock)
+    with pytest.raises(ResourceLimitError) as exc:
+        compute_tableaux_ui(pre, timeout_at=200.0)
+    assert CountingClock.reads == 201
+    assert exc.value.stats["branches_explored"] > 0
 
 
 def test_falsified_input_gives_false():
