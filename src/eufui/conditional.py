@@ -169,11 +169,17 @@ def _subsumes(d: HornClause, c: HornClause) -> bool:
     return d.consequent == c.consequent and set(d.antecedent) <= set(c.antecedent)
 
 
-def step2(clauses, max_clauses: int = DEFAULT_MAX_CLAUSES, order: str = "fifo", check_time=None):
-    """Given-clause saturation under quantified-variable rewriting."""
+def step2(clauses, max_clauses: int = DEFAULT_MAX_CLAUSES, order: str = "fifo", check_time=None,
+          stats: dict | None = None):
+    """Given-clause saturation under quantified-variable rewriting.
+
+    `clauses_created` is kept current in stats, which the clause cap raises with.
+    """
     if order not in ("fifo", "lifo"):
         raise ValueError(f"unknown saturation order {order}")
-    created = len(clauses)
+    if stats is None:
+        stats = {}
+    created = stats["clauses_created"] = len(clauses)
     seen = set(clauses)
     queue = deque(clauses)
     processed: list[HornClause] = []
@@ -197,10 +203,9 @@ def step2(clauses, max_clauses: int = DEFAULT_MAX_CLAUSES, order: str = "fifo", 
                 continue
             seen.add(c)
             created += 1
+            stats["clauses_created"] = created
             if created > max_clauses:
-                raise ResourceLimitError(
-                    "clause limit exceeded", {"clauses_created": created}
-                )
+                raise ResourceLimitError("clause limit exceeded", stats)
             queue.append(c)
     return processed, created
 
@@ -243,20 +248,20 @@ def enumerate_cdags(s3, evars, max_cdags: int = DEFAULT_MAX_CDAGS, check_time=No
     When consecutive entries are independent (the later clause does not
     mention the earlier placeholder), only the elimination-ordered
     interleaving is kept, so each set of entries appears once. Chains are
-    yielded lazily; the visited count covers every tree node seen so far.
+    yielded lazily; `cdags_visited` in stats covers every tree node seen so
+    far, and the cdag cap raises with stats.
     """
+    if stats is None:
+        stats = {}
     position = {w: i for i, w in enumerate(evars)}
     visited = 0
 
     def dfs(allowed: set, entries: list):
         nonlocal visited
         visited += 1
-        if stats is not None:
-            stats["cdags_visited"] = visited
+        stats["cdags_visited"] = visited
         if visited > max_cdags:
-            raise ResourceLimitError(
-                "conditional DAG limit exceeded", {"cdags_visited": visited}
-            )
+            raise ResourceLimitError("conditional DAG limit exceeded", stats)
         if check_time is not None:
             check_time()
         yield list(entries)
@@ -387,9 +392,8 @@ def compute_conditional_ui(
 
     s2 = step1(pre)
     stats["s2_size"] = len(s2)
-    s3, created = step2(s2, max_clauses=max_clauses, order=order, check_time=check_time)
+    s3, _ = step2(s2, max_clauses=max_clauses, order=order, check_time=check_time, stats=stats)
     stats["s3_size"] = len(s3)
-    stats["clauses_created"] = created
 
     phis = []
     for entries in enumerate_cdags(s3, pre.evars, max_cdags=max_cdags,

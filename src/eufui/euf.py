@@ -116,12 +116,15 @@ def cc_sat(literals) -> bool:
 
 @dataclass
 class Budget:
-    remaining: int
+    limit: int
+    spent: int = 0
 
     def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise ResourceLimitError("cube budget exceeded in EUF validity check")
+        self.spent += 1
+        if self.spent > self.limit:
+            raise ResourceLimitError(
+                "cube budget exceeded in EUF validity check", {"cubes_spent": self.spent}
+            )
 
 
 def _find_sat_cube(f, budget: Budget):

@@ -4,7 +4,8 @@ The output holds only literals of two shapes over 0-ary operands,
 f(a1..ah)=a and a!=b, each mentioning a quantified variable; everything
 e-free is routed to the passthrough constraint. Quantified equalities
 e=t with t e-free never survive: they are eliminated by replacement and
-their witnesses recorded for the replay audit.
+their witnesses recorded for the replay audit. Nor do applications
+f(a1..ah)=e with every ai e-free: e becomes a y-definition (rule 2).
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .terms import (
     lit_substitute,
     mk_symbol,
     orient,
+    sigma_delta_apply,
     term_is_efree,
     term_substitute,
 )
@@ -96,11 +98,23 @@ def flatten(problem) -> PreprocessedInput:
         kind = Diseq if isinstance(lit, (Ne, Diseq)) else VarEq
         work.append(orient(kind(a, b)))
 
+    def eliminate(i: int, sym: Symbol, witness: Term) -> None:
+        pre.eliminated[sym] = witness
+        pre.renaming.pop(sym, None)
+        del work[i]
+        mapping = {sym: witness}
+        work[:] = [lit_substitute(l, mapping) if sym in flat_symbols(l) else l for l in work]
+
     # Simplification to fixpoint: drop trivia, eliminate e=t by replacement,
-    # move literals that became e-free to passthrough.
+    # move literals that became e-free to passthrough, drop duplicates. Only
+    # in a pass where none of these applies does rule 2 turn an application
+    # f(a)=e with e-free arguments into e := y, y := f(a): earlier, h(y)=e
+    # with e=z still pending would give h(y) a y of its own instead of
+    # passing h(y)=z through.
     changed = True
     while changed:
         changed = False
+        seen = set()
         for i, lit in enumerate(work):
             if isinstance(lit, VarEq) and lit.lhs is lit.rhs:
                 del work[i]
@@ -110,12 +124,7 @@ def flatten(problem) -> PreprocessedInput:
                 pre.falsified = True
                 return pre
             if isinstance(lit, VarEq) and lit.lhs.head.kind == "quantified":
-                sym = lit.lhs.head
-                pre.eliminated[sym] = lit.rhs
-                pre.renaming.pop(sym, None)
-                del work[i]
-                mapping = {sym: lit.rhs}
-                work[:] = [lit_substitute(l, mapping) for l in work]
+                eliminate(i, lit.lhs.head, lit.rhs)
                 changed = True
                 break
             if lit_is_efree(lit):
@@ -125,20 +134,27 @@ def flatten(problem) -> PreprocessedInput:
                     pre.passthrough.literals.append(general)
                 changed = True
                 break
-            if lit in work[:i]:
+            if lit in seen:
                 del work[i]
+                changed = True
+                break
+            seen.add(lit)
+        if changed:
+            continue
+        for i, lit in enumerate(work):
+            if (
+                isinstance(lit, FunEq)
+                and lit.rhs.head.kind == "quantified"
+                and all(term_is_efree(a) for a in lit.lhs.args)
+            ):
+                eliminate(i, lit.rhs.head, y_for(lit.lhs))
                 changed = True
                 break
 
     # Rename surviving fresh variables densely, in first-emission order,
     # continuing the eliminate numbering and skipping taken names.
     epool = NamePool("e", taken | {y.name for y, _ in pre.initial_delta.entries}, start=len(problem.eliminate))
-    live = set()
-    for lit in work:
-        for t in (lit.lhs, lit.rhs):
-            for u in (t, *t.args):
-                if u.head.kind == "quantified":
-                    live.add(u.head)
+    live = live_symbols(work)
     renumber: dict[Symbol, Term] = {}
     for old in introduced:
         if old in live:
@@ -170,14 +186,13 @@ def flatten(problem) -> PreprocessedInput:
     return pre
 
 
+def flat_symbols(lit) -> list[Symbol]:
+    """Heads of a flat literal's sides and of their arguments."""
+    return [u.head for t in (lit.lhs, lit.rhs) for u in (t, *t.args)]
+
+
 def live_symbols(s1) -> set[Symbol]:
-    out = set()
-    for lit in s1:
-        for t in (lit.lhs, lit.rhs):
-            for u in (t, *t.args):
-                if u.head.kind == "quantified":
-                    out.add(u.head)
-    return out
+    return {s for lit in s1 for s in flat_symbols(lit) if s.kind == "quantified"}
 
 
 def replay_check(pre: PreprocessedInput, problem, max_cubes=None) -> bool:
@@ -186,16 +201,16 @@ def replay_check(pre: PreprocessedInput, problem, max_cubes=None) -> bool:
         return True
     kwargs = {} if max_cubes is None else {"max_cubes": max_cubes}
     body = mk_and(list(problem.body.literals)) if problem.body.literals else mk_and([])
-    ydefs = {y: body_term for y, body_term in pre.initial_delta.entries}
-    subst = dict(ydefs)
-    for sym, original in pre.renaming.items():
-        subst[sym] = original
+    # y bodies may mention earlier y's, so definitions resolve recursively.
+    memo: dict = {}
+
+    def original(t: Term) -> Term:
+        return sigma_delta_apply(pre.initial_delta, term_substitute(t, pre.renaming), memo)
+
     forward_target = []
     for lit in list(pre.passthrough.literals) + list(pre.s1):
         g = lit_general(lit)
-        forward_target.append(
-            type(g)(term_substitute(g.lhs, subst), term_substitute(g.rhs, subst))
-        )
+        forward_target.append(type(g)(original(g.lhs), original(g.rhs)))
     ok, _ = euf_valid(body, mk_and(forward_target), **kwargs)
     if not ok:
         return False

@@ -68,6 +68,30 @@ def random_problem(rng: random.Random, max_funs=3, max_params=5, max_evars=3, ma
     return Problem("U", funs, params, evars, Constraint(lits), symbols)
 
 
+def doubling_chain(n):
+    """f1(z, z) = e1, f_{i+1}(e_i, e_i) = e_{i+1}, h(e_n) = z0: expands to 2^n nodes."""
+    lines = ["(declare-sort U 0)"]
+    lines += [f"(declare-fun f{i} (U U) U)" for i in range(1, n + 1)]
+    lines += ["(declare-fun h (U) U)", "(declare-const z U)", "(declare-const z0 U)"]
+    lines += [f"(declare-const e{i} U)" for i in range(1, n + 1)]
+    lines.append("(eliminate " + " ".join(f"e{i}" for i in range(1, n + 1)) + ")")
+    lines.append("(assert (= (f1 z z) e1))")
+    lines += [f"(assert (= (f{i + 1} e{i} e{i}) e{i + 1}))" for i in range(1, n)]
+    lines += [f"(assert (= (h e{n}) z0))", "(compute-ui)"]
+    return "\n".join(lines)
+
+
+def linear_chain(n):
+    """f(z) = e1, f(e_i) = e_{i+1}, f(e_n) = z: one unary function, n definitions."""
+    lines = ["(declare-sort U 0)", "(declare-fun f (U) U)", "(declare-const z U)"]
+    lines += [f"(declare-const e{i} U)" for i in range(1, n + 1)]
+    lines.append("(eliminate " + " ".join(f"e{i}" for i in range(1, n + 1)) + ")")
+    lines.append("(assert (= (f z) e1))")
+    lines += [f"(assert (= (f e{i}) e{i + 1}))" for i in range(1, n)]
+    lines.append(f"(assert (= (f e{n}) z))")
+    return "\n".join(lines)
+
+
 def iter_partitions(items):
     """All set partitions of items (lists of lists)."""
     if not items:

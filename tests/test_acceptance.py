@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from conftest import random_problem
+from conftest import doubling_chain, random_problem
 from test_conditional import (
     THREE_CHAIN,
     THREE_CHAIN_TARGETS,
@@ -233,18 +233,6 @@ def test_criterion_10_strategy_confluence(corpus):
 def test_criterion_11_application_merges_persist(corpus):
     for _, _, _, cond in corpus["rows"]:
         assert_merges_persist(cond.s3)
-
-
-def doubling_chain(n):
-    lines = ["(declare-sort U 0)"]
-    lines += [f"(declare-fun f{i} (U U) U)" for i in range(1, n + 1)]
-    lines += ["(declare-fun h (U) U)", "(declare-const z U)", "(declare-const z0 U)"]
-    lines += [f"(declare-const e{i} U)" for i in range(1, n + 1)]
-    lines.append("(eliminate " + " ".join(f"e{i}" for i in range(1, n + 1)) + ")")
-    lines.append("(assert (= (f1 z z) e1))")
-    lines += [f"(assert (= (f{i + 1} e{i} e{i}) e{i + 1}))" for i in range(1, n)]
-    lines += [f"(assert (= (h e{n}) z0))", "(compute-ui)"]
-    return "\n".join(lines)
 
 
 def test_criterion_12_compression(tmp_path, capsys):

@@ -4,8 +4,10 @@ from __future__ import annotations
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
+from conftest import linear_chain
 from test_conditional import THREE_CHAIN
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX22_TARGET, EX39_TARGET
@@ -13,6 +15,9 @@ from test_tableaux import EX22_TARGET, EX39_TARGET
 from eufui import cli
 from eufui.euf import euf_equiv
 from eufui.parse import parse, parse_formula
+
+DEMO_INPUTS = sorted((Path(__file__).resolve().parent.parent / "demos" / "inputs").glob("*.smt"))
+CONDITIONAL_STATS = {"cdags_visited", "clauses_created", "num_cdags", "s2_size", "s3_size"}
 
 
 def write(tmp_path, text, name="in.smt"):
@@ -180,12 +185,32 @@ def test_clause_cap_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["--max-clauses", "1", write(tmp_path, EX16)])
     assert code == 3
     assert "clause limit exceeded" in err
+    counters = json.loads(err.split("clause limit exceeded ", 1)[1])
+    assert set(counters) == CONDITIONAL_STATS
+    assert counters["s2_size"] > 0 and counters["clauses_created"] > 1
+    assert counters["s3_size"] == counters["cdags_visited"] == 0
 
 
 def test_cdag_cap_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["--max-cdags", "3", write(tmp_path, THREE_CHAIN)])
     assert code == 3
     assert "conditional DAG limit exceeded" in err
+    counters = json.loads(err.split("conditional DAG limit exceeded ", 1)[1])
+    assert set(counters) == CONDITIONAL_STATS
+    assert counters["cdags_visited"] == 4
+    assert counters["s2_size"] > 0 and counters["s3_size"] > 0
+
+
+def test_cube_cap_exits_3(capsys):
+    path = str(next(p for p in DEMO_INPUTS if p.name == "nested_shared.smt"))
+    code, out, err = run_cli(
+        capsys,
+        ["--max-cubes", "2", "--algorithm", "both", "--verify", "equivalence", path],
+    )
+    assert code == 3
+    assert out == ""
+    counters = json.loads(err.split("cube budget exceeded in EUF validity check ", 1)[1])
+    assert counters == {"cubes_spent": 3}
 
 
 def test_timeout_exits_3(tmp_path, capsys):
@@ -194,6 +219,26 @@ def test_timeout_exits_3(tmp_path, capsys):
         code, _, err = run_cli(capsys, ["--algorithm", algo, "--timeout-ms", "0", path])
         assert code == 3
         assert "timeout exceeded" in err
+
+
+# Rule 2 in flattening: a chain of e-free definitions never reaches saturation.
+
+def test_linear_definition_chain_needs_no_saturation(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, ["--algorithm", "conditional", write(tmp_path, linear_chain(100))]
+    )
+    assert code == 0
+    assert out.count("(let ((y") == 100
+    assert " s3_size=0 " in err
+
+
+# Every demo input runs both engines to an oracle-checked agreement.
+
+@pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)
+def test_demo_input_engines_agree(path, capsys):
+    code, out, _ = run_cli(capsys, ["--algorithm", "both", "--verify", "equivalence", str(path)])
+    assert code == 0
+    assert out.splitlines()[-1] == "equivalent"
 
 
 # Stats channel: fixed key set, sorted JSON, no timing in machine output.

@@ -4,10 +4,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import random_problem
+from conftest import doubling_chain, random_problem
 
+from eufui.conditional import compute_conditional_ui
+from eufui.euf import euf_equiv
 from eufui.parse import format_formula, format_term, parse
 from eufui.preprocess import flatten, live_symbols, replay_check
+from eufui.tableaux import compute_tableaux_ui
 from eufui.terms import Diseq, FunEq, VarEq, const, lit_general
 
 EX22 = """
@@ -44,6 +47,18 @@ EX16 = """
 (assert (= s1 (f z3 e)))
 (assert (= s2 (f z4 e)))
 (assert (= t (f (f z1 e) (f z2 e))))
+"""
+
+ROW58 = """
+(declare-sort U 0)
+(declare-fun f1 (U U) U)
+(declare-const z0 U)(declare-const z1 U)(declare-const z2 U)(declare-const z3 U)
+(declare-const e0 U)
+(eliminate e0)
+(assert (= (f1 z1 z0) (f1 (f1 e0 z2) (f1 z1 z3))))
+(assert (= (f1 (f1 z0 e0) (f1 e0 z1)) z1))
+(assert (= z0 (f1 (f1 z3 z2) (f1 z3 z1))))
+(assert (= z3 e0))
 """
 
 
@@ -111,6 +126,53 @@ def test_flatten_quantified_equality_eliminated():
     witnesses = {s.name: w.head.name for s, w in pre.eliminated.items()}
     assert witnesses["e"] == "z1"
     assert pre.evars == []
+
+
+@pytest.mark.parametrize("asserts", [
+    "(assert (= (f z1 z2) e))(assert (= (g e) z3))",
+    # f(e0, z2) turns e-free only once e0 is replaced by z1
+    "(assert (= (f e0 z2) e))(assert (= e0 z1))(assert (= (g e) z3))",
+], ids=["efree-in-input", "efree-after-replacement"])
+def test_flatten_efree_application_becomes_definition(asserts):
+    pre = flatten(parse(
+        "(declare-sort U 0)(declare-fun f (U U) U)(declare-fun g (U) U)"
+        "(declare-const e0 U)(declare-const e U)"
+        "(declare-const z1 U)(declare-const z2 U)(declare-const z3 U)"
+        "(eliminate e0 e)" + asserts
+    ))
+    assert pre.s1 == [] and pre.evars == []
+    assert [(y.name, format_term(t)) for y, t in pre.initial_delta.entries] == [("y1", "(f z1 z2)")]
+    assert fmt(pre.passthrough.literals) == ["(= (g y1) z3)"]
+    witnesses = {s.name: w for s, w in pre.eliminated.items()}
+    assert witnesses["e"] is const(pre.initial_delta.entries[0][0])
+
+
+def test_flatten_definition_chain_collapses_in_order():
+    # Each f_{i+1}(y_i, y_i) = e_{i+1} becomes y_{i+1}; h(e6) = z0 is already
+    # e-free by then and goes to the passthrough without a y of its own.
+    pre = flatten(parse(doubling_chain(6)))
+    assert pre.s1 == [] and pre.evars == []
+    assert [(y.name, format_term(t)) for y, t in pre.initial_delta.entries] == [
+        ("y1", "(f1 z z)"),
+        ("y2", "(f2 y1 y1)"),
+        ("y3", "(f3 y2 y2)"),
+        ("y4", "(f4 y3 y3)"),
+        ("y5", "(f5 y4 y4)"),
+        ("y6", "(f6 y5 y5)"),
+    ]
+    assert fmt(pre.passthrough.literals) == ["(= (h y6) z0)"]
+
+
+def test_flatten_row58_leaves_no_eliminated_variables():
+    problem = parse(ROW58)
+    pre = flatten(problem)
+    assert pre.evars == []
+    assert replay_check(pre, problem)
+    tab = compute_tableaux_ui(pre)
+    cond = compute_conditional_ui(pre)
+    assert cond.stats["num_cdags"] == 0
+    ok, witness = euf_equiv(tab.formula(), cond.formula())
+    assert ok, witness
 
 
 def test_flatten_trivial_and_falsified():
