@@ -11,13 +11,13 @@ import json
 import sys
 import time
 
-from .conditional import DEFAULT_MAX_CDAGS, DEFAULT_MAX_CLAUSES, compute_conditional_ui
-from .errors import InputError, ResourceLimitError
-from .euf import DEFAULT_MAX_CUBES, euf_equiv, euf_valid
+from .conditional import compute_conditional_ui
+from .errors import Budget, InputError, ResourceLimitError
+from .euf import euf_equiv, euf_valid
 from .formulas import fsize, mk_and
 from .parse import format_formula, parse, print_ui
 from .preprocess import flatten
-from .tableaux import DEFAULT_MAX_BRANCHES, compute_tableaux_ui
+from .tableaux import compute_tableaux_ui
 from .terms import lit_general
 
 STATS_KEYS = (
@@ -44,10 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unravel", action="store_true",
                    help="print the fully expanded interpolant instead of the let form")
     p.add_argument("--verify", choices=("off", "residue", "equivalence"), default="off")
-    p.add_argument("--max-branches", type=int, default=DEFAULT_MAX_BRANCHES)
-    p.add_argument("--max-clauses", type=int, default=DEFAULT_MAX_CLAUSES)
-    p.add_argument("--max-cdags", type=int, default=DEFAULT_MAX_CDAGS)
-    p.add_argument("--max-cubes", type=int, default=DEFAULT_MAX_CUBES)
+    p.add_argument("--max-branches", type=int, default=Budget.max_branches)
+    p.add_argument("--max-clauses", type=int, default=Budget.max_clauses)
+    p.add_argument("--max-cdags", type=int, default=Budget.max_cdags)
+    p.add_argument("--max-cubes", type=int, default=Budget.max_cubes)
     p.add_argument("--timeout-ms", type=int, default=None)
     p.add_argument("--format", choices=("smtlib-like", "stats-json"), default="smtlib-like")
     p.add_argument("--strategy", choices=("default", "reversed"), default="default")
@@ -110,28 +110,16 @@ def main(argv=None) -> int:
         return 2
 
     started = time.monotonic()
-    timeout_at = None
-    if args.timeout_ms is not None:
-        timeout_at = started + args.timeout_ms / 1000.0
+    deadline = None if args.timeout_ms is None else started + args.timeout_ms / 1000.0
+    budget = Budget(deadline, args.max_branches, args.max_clauses, args.max_cdags, args.max_cubes)
 
     tab = cond = None
     try:
         pre = flatten(problem)
         if args.algorithm in ("tableaux", "both"):
-            tab = compute_tableaux_ui(
-                pre,
-                strategy=args.strategy,
-                max_branches=args.max_branches,
-                timeout_at=timeout_at,
-                prune=args.prune,
-            )
+            tab = compute_tableaux_ui(pre, strategy=args.strategy, budget=budget, prune=args.prune)
         if args.algorithm in ("conditional", "both"):
-            cond = compute_conditional_ui(
-                pre,
-                max_clauses=args.max_clauses,
-                max_cdags=args.max_cdags,
-                timeout_at=timeout_at,
-            )
+            cond = compute_conditional_ui(pre, budget=budget)
 
         verified_line = None
         if args.verify == "residue":
@@ -139,18 +127,20 @@ def main(argv=None) -> int:
             for result in (tab, cond):
                 if result is None:
                     continue
-                ok, cube = euf_valid(inp, result.formula(), max_cubes=args.max_cubes)
+                ok, cube = euf_valid(inp, result.formula(), budget)
                 if not ok:
                     print("verification-failed residue "
                           + format_formula(mk_and(cube)))
                     return 1
         elif args.verify == "equivalence":
-            ok, witness = euf_equiv(tab.formula(), cond.formula(), max_cubes=args.max_cubes)
+            ok, witness = euf_equiv(tab.formula(), cond.formula(), budget)
             if not ok:
                 direction, cube = witness
                 print(f"verification-failed {direction} " + format_formula(mk_and(cube)))
                 return 1
             verified_line = "equivalent"
+        # Sizing and printing build formulas too: a run past its deadline stops here.
+        budget.check_time({k: v for r in (tab, cond) if r is not None for k, v in r.stats.items()})
     except ResourceLimitError as exc:
         counters = f" {json.dumps(exc.stats, sort_keys=True)}" if exc.stats else ""
         print(f"resource limit: {exc}{counters}", file=sys.stderr)

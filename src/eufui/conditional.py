@@ -11,11 +11,10 @@ once the chain's placeholders are bound.
 """
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import ResourceLimitError
+from .errors import Budget
 from .formulas import FALSE, Let, expand_lets, mk_and, mk_eq, mk_implies, wrap_definitions
 from .terms import (
     DagDefinition,
@@ -31,9 +30,6 @@ from .terms import (
     orient,
     term_substitute,
 )
-
-DEFAULT_MAX_CLAUSES = 100_000
-DEFAULT_MAX_CDAGS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -169,23 +165,22 @@ def _subsumes(d: HornClause, c: HornClause) -> bool:
     return d.consequent == c.consequent and set(d.antecedent) <= set(c.antecedent)
 
 
-def step2(clauses, max_clauses: int = DEFAULT_MAX_CLAUSES, order: str = "fifo", check_time=None,
-          stats: dict | None = None):
+def step2(clauses, budget: Budget = Budget(), order: str = "fifo", stats: dict | None = None):
     """Given-clause saturation under quantified-variable rewriting.
 
-    `clauses_created` is kept current in stats, which the clause cap raises with.
+    `clauses_created` in stats counts the input clauses and every inferred
+    one against the clause cap.
     """
     if order not in ("fifo", "lifo"):
         raise ValueError(f"unknown saturation order {order}")
     if stats is None:
-        stats = {}
-    created = stats["clauses_created"] = len(clauses)
+        stats = {"clauses_created": 0}
+    budget.count(stats, "clauses_created", len(clauses))
     seen = set(clauses)
     queue = deque(clauses)
     processed: list[HornClause] = []
     while queue:
-        if check_time is not None:
-            check_time()
+        budget.check_time(stats)
         g = queue.popleft() if order == "fifo" else queue.pop()
         if any(_subsumes(p, g) for p in processed):
             continue
@@ -202,12 +197,9 @@ def step2(clauses, max_clauses: int = DEFAULT_MAX_CLAUSES, order: str = "fifo", 
             if c in seen or any(_subsumes(p, c) for p in processed):
                 continue
             seen.add(c)
-            created += 1
-            stats["clauses_created"] = created
-            if created > max_clauses:
-                raise ResourceLimitError("clause limit exceeded", stats)
+            budget.count(stats, "clauses_created")
             queue.append(c)
-    return processed, created
+    return processed, stats["clauses_created"]
 
 
 # --- conditional definition chains -----------------------------------------
@@ -240,8 +232,7 @@ def _def_body(c: HornClause, w: Symbol, allowed: set):
     return None
 
 
-def enumerate_cdags(s3, evars, max_cdags: int = DEFAULT_MAX_CDAGS, check_time=None,
-                    stats: dict | None = None):
+def enumerate_cdags(s3, evars, budget: Budget = Budget(), stats: dict | None = None):
     """Yield every definition chain in canonical order (each prefix once).
 
     A chain entry may reuse its clause's consequent in either orientation.
@@ -252,18 +243,12 @@ def enumerate_cdags(s3, evars, max_cdags: int = DEFAULT_MAX_CDAGS, check_time=No
     far, and the cdag cap raises with stats.
     """
     if stats is None:
-        stats = {}
+        stats = {"cdags_visited": 0}
     position = {w: i for i, w in enumerate(evars)}
-    visited = 0
 
     def dfs(allowed: set, entries: list):
-        nonlocal visited
-        visited += 1
-        stats["cdags_visited"] = visited
-        if visited > max_cdags:
-            raise ResourceLimitError("conditional DAG limit exceeded", stats)
-        if check_time is not None:
-            check_time()
+        budget.count(stats, "cdags_visited")
+        budget.check_time(stats)
         yield list(entries)
         for w in evars:
             if w in allowed:
@@ -374,30 +359,19 @@ class UiResultCnf:
         return self._built[unravel]
 
 
-def compute_conditional_ui(
-    pre,
-    max_clauses: int = DEFAULT_MAX_CLAUSES,
-    max_cdags: int = DEFAULT_MAX_CDAGS,
-    order: str = "fifo",
-    timeout_at: float | None = None,
-) -> UiResultCnf:
+def compute_conditional_ui(pre, budget: Budget = Budget(), order: str = "fifo") -> UiResultCnf:
     """Run both saturation steps, extract all chains, keep the useful ones."""
     stats = {"s2_size": 0, "s3_size": 0, "num_cdags": 0, "clauses_created": 0, "cdags_visited": 0}
     if pre.falsified:
         return UiResultCnf([], [], DagDefinition(), [], [], stats, falsified=True)
 
-    def check_time():
-        if timeout_at is not None and time.monotonic() > timeout_at:
-            raise ResourceLimitError("timeout exceeded", stats)
-
     s2 = step1(pre)
     stats["s2_size"] = len(s2)
-    s3, _ = step2(s2, max_clauses=max_clauses, order=order, check_time=check_time, stats=stats)
+    s3, _ = step2(s2, budget, order, stats)
     stats["s3_size"] = len(s3)
 
     phis = []
-    for entries in enumerate_cdags(s3, pre.evars, max_cdags=max_cdags,
-                                   check_time=check_time, stats=stats):
+    for entries in enumerate_cdags(s3, pre.evars, budget, stats):
         wset = {e.var for e in entries}
         core = core_clauses(s3, wset)
         if not core:

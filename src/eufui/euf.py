@@ -3,18 +3,15 @@
 cc_sat decides conjunctions of ground (dis)equalities. euf_valid reduces
 validity to unsatisfiability and searches the lazy DNF of the query with
 closure-based pruning, so only cubes consistent so far are ever expanded;
-the cube budget counts cc_sat calls.
+the cube cap counts cc_sat calls, and the deadline is checked at each one.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .errors import ResourceLimitError
+from .errors import Budget
 from .formulas import And, FFalse, FTrue, Or, expand_lets, mk_and, nnf
 from .terms import Eq, Ne, Term
-
-DEFAULT_MAX_CUBES = 1 << 20
 
 
 class CongruenceState:
@@ -114,19 +111,6 @@ def cc_sat(literals) -> bool:
     return True
 
 
-@dataclass
-class Budget:
-    limit: int
-    spent: int = 0
-
-    def spend(self) -> None:
-        self.spent += 1
-        if self.spent > self.limit:
-            raise ResourceLimitError(
-                "cube budget exceeded in EUF validity check", {"cubes_spent": self.spent}
-            )
-
-
 def _find_sat_cube(f, budget: Budget):
     """A cc-satisfiable cube of the NNF formula f, or None.
 
@@ -135,6 +119,11 @@ def _find_sat_cube(f, budget: Budget):
     current assignment, lone survivors propagate, and branching takes one
     disjunct at a time, learning its complement when a branch fails.
     """
+    stats = {"cubes_spent": 0}
+
+    def spend():
+        budget.count(stats, "cubes_spent")
+        budget.check_time(stats)
 
     def norm(g):
         return frozenset((g.lhs.id, g.rhs.id))
@@ -163,7 +152,7 @@ def _find_sat_cube(f, budget: Budget):
                     continue
                 assign[norm(g)] = pos
                 cube.append(g)
-                budget.spend()
+                spend()
                 if not cc_sat(cube):
                     return None
             elif isinstance(g, FFalse):
@@ -215,7 +204,7 @@ def _find_sat_cube(f, budget: Budget):
             if isinstance(p, (Eq, Ne)):
                 assign[norm(p)] = isinstance(p, Ne)
                 cube.append(Eq(p.lhs, p.rhs) if isinstance(p, Ne) else Ne(p.lhs, p.rhs))
-                budget.spend()
+                spend()
                 if not cc_sat(cube):
                     return None
         return None
@@ -223,25 +212,25 @@ def _find_sat_cube(f, budget: Budget):
     return search([f], [], {})
 
 
-def euf_valid(hyp, concl, max_cubes: int = DEFAULT_MAX_CUBES):
+def euf_valid(hyp, concl, budget: Budget = Budget()):
     """(True, None) when hyp entails concl in EUF, else (False, witness cube).
 
     Both formulas are quantifier-free; any variables are read as fresh
-    constants. Raises ResourceLimitError when the cube budget runs out.
+    constants. Raises ResourceLimitError when the cube cap or deadline passes.
     """
     query = mk_and([nnf(expand_lets(hyp)), nnf(expand_lets(concl), positive=False)])
-    cube = _find_sat_cube(query, Budget(max_cubes))
+    cube = _find_sat_cube(query, budget)
     if cube is None:
         return True, None
     return False, cube
 
 
-def euf_equiv(a, b, max_cubes: int = DEFAULT_MAX_CUBES):
+def euf_equiv(a, b, budget: Budget = Budget()):
     """(True, None) when a and b are EUF-equivalent, else (False, (direction, cube))."""
-    ok, cube = euf_valid(a, b, max_cubes)
+    ok, cube = euf_valid(a, b, budget)
     if not ok:
         return False, ("forward", cube)
-    ok, cube = euf_valid(b, a, max_cubes)
+    ok, cube = euf_valid(b, a, budget)
     if not ok:
         return False, ("backward", cube)
     return True, None

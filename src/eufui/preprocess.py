@@ -195,11 +195,10 @@ def live_symbols(s1) -> set[Symbol]:
     return {s for lit in s1 for s in flat_symbols(lit) if s.kind == "quantified"}
 
 
-def replay_check(pre: PreprocessedInput, problem, max_cubes=None) -> bool:
+def replay_check(pre: PreprocessedInput, problem) -> bool:
     """Audit flattening: both entailment directions hold under the oracle."""
     if pre.falsified:
         return True
-    kwargs = {} if max_cubes is None else {"max_cubes": max_cubes}
     body = mk_and(list(problem.body.literals)) if problem.body.literals else mk_and([])
     # y bodies may mention earlier y's, so definitions resolve recursively.
     memo: dict = {}
@@ -211,7 +210,7 @@ def replay_check(pre: PreprocessedInput, problem, max_cubes=None) -> bool:
     for lit in list(pre.passthrough.literals) + list(pre.s1):
         g = lit_general(lit)
         forward_target.append(type(g)(original(g.lhs), original(g.rhs)))
-    ok, _ = euf_valid(body, mk_and(forward_target), **kwargs)
+    ok, _ = euf_valid(body, mk_and(forward_target))
     if not ok:
         return False
 
@@ -219,5 +218,5 @@ def replay_check(pre: PreprocessedInput, problem, max_cubes=None) -> bool:
     back_hyp += [lit_general(l) for l in pre.s1]
     back_hyp += [Eq(const(y), t) for y, t in pre.initial_delta.entries]
     back_hyp += [Eq(const(sym), w) for sym, w in pre.eliminated.items()]
-    ok, _ = euf_valid(mk_and(back_hyp), body, **kwargs)
+    ok, _ = euf_valid(mk_and(back_hyp), body)
     return ok

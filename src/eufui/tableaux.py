@@ -8,10 +8,9 @@ and are discarded, so each surviving branch contributes (delta, phi).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from .errors import ResourceLimitError
+from .errors import Budget
 from .euf import cc_sat
 from .formulas import mk_and, mk_or, wrap_definitions
 from .parse import format_formula
@@ -33,8 +32,6 @@ from .terms import (
 )
 from .terms import unravel as unravel_constraint
 
-DEFAULT_MAX_BRANCHES = 1_000_000
-
 RULE_NAMES = ("1.0", "1.i", "1.ii", "2", "3", "4")
 
 
@@ -42,13 +39,18 @@ RULE_NAMES = ("1.0", "1.i", "1.ii", "2", "3", "4")
 class Disjunct:
     delta: DagDefinition
     phi: list
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def formula(self, unravel: bool = False):
-        if unravel:
-            flat = unravel_constraint(self.delta, Constraint(list(self.phi)))
-            return mk_and([lit_general(l) for l in flat.literals])
-        body = mk_and([lit_general(l) for l in self.phi])
-        return wrap_definitions(self.delta.entries, body)
+        """The conjunction under its definitions, built once per unravel flag."""
+        if unravel not in self._built:
+            if unravel:
+                flat = unravel_constraint(self.delta, Constraint(list(self.phi)))
+                self._built[True] = mk_and([lit_general(l) for l in flat.literals])
+            else:
+                body = mk_and([lit_general(l) for l in self.phi])
+                self._built[False] = wrap_definitions(self.delta.entries, body)
+        return self._built[unravel]
 
 
 @dataclass
@@ -100,8 +102,7 @@ def _blocked(diffs, phi) -> bool:
 def compute_tableaux_ui(
     pre,
     strategy: str = "default",
-    max_branches: int = DEFAULT_MAX_BRANCHES,
-    timeout_at: float | None = None,
+    budget: Budget = Budget(),
     prune: str = "syntactic",
 ) -> UiResultDnf:
     """Run the branching elimination to completion and collect all disjuncts."""
@@ -115,10 +116,6 @@ def compute_tableaux_ui(
     stats = {"branches_explored": 0, "rule4_firings": 0, "rule_apps": dict.fromkeys(RULE_NAMES, 0)}
     if pre.falsified:
         return UiResultDnf([], stats)
-
-    def check_time():
-        if timeout_at is not None and time.monotonic() > timeout_at:
-            raise ResourceLimitError("timeout exceeded", stats)
 
     def fresh_y(state: _State):
         k = state.ynext
@@ -225,13 +222,13 @@ def compute_tableaux_ui(
     stack = [_State(pre.initial_delta.copy(), list(pre.s1), list(pre.passthrough.literals), 1)]
     ticks = 0
     while stack:
-        check_time()
+        budget.check_time(stats)
         state = stack.pop()
         # Apply rules until the branch splits, closes, or has no redex left.
         while True:
             ticks += 1
             if not ticks % 256:
-                check_time()
+                budget.check_time(stats)
             redex = find_redex(state)
             if redex is None:
                 outcome = "terminal"
@@ -248,9 +245,7 @@ def compute_tableaux_ui(
                 break
         if outcome == "split":
             continue
-        stats["branches_explored"] += 1
-        if stats["branches_explored"] > max_branches:
-            raise ResourceLimitError("branch limit exceeded", stats)
+        budget.count(stats, "branches_explored")
         if outcome == "terminal" and keep(state):
             disjuncts.append(Disjunct(state.delta, list(state.phi)))
 

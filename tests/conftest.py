@@ -1,11 +1,30 @@
-"""Shared helpers: tiny signature factory and randomized instance builders."""
+"""Shared helpers: tiny signature factory, randomized instance builders and
+a fake clock for the run budget."""
 from __future__ import annotations
 
 import random
 
-from eufui import terms
+import pytest
+
+from eufui import errors, terms
 from eufui.parse import Problem
 from eufui.terms import Constraint, Eq, Ne, const, intern, mk_symbol
+
+
+@pytest.fixture
+def counting_clock(monkeypatch):
+    """The budget's clock, faked: each read returns how many reads there were."""
+
+    class CountingClock:
+        reads = 0
+
+        @classmethod
+        def monotonic(cls):
+            cls.reads += 1
+            return float(cls.reads)
+
+    monkeypatch.setattr(errors, "time", CountingClock)
+    return CountingClock
 
 
 class Sig:

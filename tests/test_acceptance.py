@@ -23,7 +23,7 @@ from test_tableaux import EX16_TARGET, EX22_TARGET, EX39_TARGET
 
 from eufui import cli
 from eufui.conditional import compute_conditional_ui
-from eufui.errors import ResourceLimitError
+from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
 from eufui.formulas import fsize, mk_and
 from eufui.parse import Problem, parse
@@ -68,7 +68,7 @@ def corpus():
         if pre.falsified or len(pre.evars) > CORPUS_EVAR_CAP:
             continue
         try:
-            cond = compute_conditional_ui(pre, max_cdags=CORPUS_CDAG_CAP)
+            cond = compute_conditional_ui(pre, budget=Budget(max_cdags=CORPUS_CDAG_CAP))
         except ResourceLimitError:
             continue
         tab = compute_tableaux_ui(pre)

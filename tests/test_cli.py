@@ -12,7 +12,7 @@ from test_conditional import THREE_CHAIN
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX22_TARGET, EX39_TARGET
 
-from eufui import cli
+from eufui import cli, errors
 from eufui.euf import euf_equiv
 from eufui.parse import parse, parse_formula
 
@@ -24,6 +24,10 @@ def write(tmp_path, text, name="in.smt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def demo(name):
+    return str(next(p for p in DEMO_INPUTS if p.name == name))
 
 
 def run_cli(capsys, argv):
@@ -191,6 +195,20 @@ def test_clause_cap_exits_3(tmp_path, capsys):
     assert counters["s3_size"] == counters["cdags_visited"] == 0
 
 
+def test_clause_cap_counts_step1_clauses(capsys):
+    code, out, err = run_cli(capsys, ["--max-clauses", "1", demo("two_applications.smt")])
+    assert code == 3
+    assert out == ""
+    assert "clause limit exceeded" in err
+
+
+def test_clause_cap_trips_before_saturation(capsys):
+    code, _, err = run_cli(capsys, ["--max-clauses", "10", demo("connection_gadget.smt")])
+    assert code == 3
+    counters = json.loads(err.split("clause limit exceeded ", 1)[1])
+    assert counters["clauses_created"] == counters["s2_size"] == 21
+
+
 def test_cdag_cap_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["--max-cdags", "3", write(tmp_path, THREE_CHAIN)])
     assert code == 3
@@ -219,6 +237,31 @@ def test_timeout_exits_3(tmp_path, capsys):
         code, _, err = run_cli(capsys, ["--algorithm", algo, "--timeout-ms", "0", path])
         assert code == 3
         assert "timeout exceeded" in err
+
+
+def test_timeout_checked_before_printing(tmp_path, capsys, monkeypatch):
+    class Clock:
+        now = 0.0
+
+        @classmethod
+        def monotonic(cls):
+            return cls.now
+
+    real = cli.compute_conditional_ui
+
+    def engine_then_deadline_passes(*args, **kwargs):
+        result = real(*args, **kwargs)
+        Clock.now = 10.0
+        return result
+
+    monkeypatch.setattr(errors, "time", Clock)
+    monkeypatch.setattr(cli, "time", Clock)
+    monkeypatch.setattr(cli, "compute_conditional_ui", engine_then_deadline_passes)
+    code, out, err = run_cli(capsys, ["--timeout-ms", "1000", write(tmp_path, EX22)])
+    assert code == 3
+    assert out == ""
+    counters = json.loads(err.split("timeout exceeded ", 1)[1])
+    assert set(counters) == CONDITIONAL_STATS
 
 
 # Rule 2 in flattening: a chain of e-free definitions never reaches saturation.

@@ -18,7 +18,7 @@ from eufui.conditional import (
     step1,
     step2,
 )
-from eufui.errors import ResourceLimitError
+from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
 from eufui.formulas import FALSE, formula_atoms, mk_and
 from eufui.parse import format_formula, format_term, parse, parse_formula
@@ -256,12 +256,12 @@ def test_saturation_order_insensitive():
 def test_clause_limit_enforced():
     text, _ = chain_gadget(4)
     with pytest.raises(ResourceLimitError):
-        run_text(text, max_clauses=50)
+        run_text(text, budget=Budget(max_clauses=50))
 
 
 def test_chain_limit_enforced():
     with pytest.raises(ResourceLimitError):
-        run_text(THREE_CHAIN, max_cdags=3)
+        run_text(THREE_CHAIN, budget=Budget(max_cdags=3))
 
 
 def test_falsified_input_gives_false():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Sig, brute_force_sat, random_flat_instance
-from eufui.errors import ResourceLimitError
+from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import CongruenceState, cc_sat, euf_equiv, euf_valid
 from eufui.formulas import TRUE, Implies, Let, Not, mk_and, mk_eq, mk_implies, mk_or
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
@@ -142,12 +142,26 @@ def test_euf_equiv_let_expansion():
     assert euf_equiv(compressed, Eq(intern(f, (z,)), z)) == (True, None)
 
 
-def test_euf_valid_budget_cap():
+def many_cube_query():
+    """Nine ten-way disjunctions and a goal: many cubes before any verdict."""
     s = Sig()
     ps = s.params(*[f"p{i}" for i in range(10)])
     big = mk_and([mk_or([Eq(ps[i], ps[j]) for j in range(10) if j != i]) for i in range(9)])
+    return big, Ne(ps[0], ps[1])
+
+
+def test_euf_valid_budget_cap():
+    big, goal = many_cube_query()
     with pytest.raises(ResourceLimitError):
-        euf_valid(big, Ne(ps[0], ps[1]), max_cubes=3)
+        euf_valid(big, goal, budget=Budget(max_cubes=3))
+
+
+def test_euf_valid_checks_deadline_per_cube(counting_clock):
+    big, goal = many_cube_query()
+    with pytest.raises(ResourceLimitError, match="timeout exceeded") as exc:
+        euf_valid(big, goal, budget=Budget(deadline=2.0))
+    assert counting_clock.reads == 3
+    assert exc.value.stats == {"cubes_spent": 3}
 
 
 def test_euf_valid_true_and_false_edges():

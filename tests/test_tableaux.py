@@ -8,9 +8,9 @@ from conftest import random_problem
 from test_preprocess import EX16, EX22, EX39
 
 from eufui import tableaux
-from eufui.errors import ResourceLimitError
+from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
-from eufui.formulas import FALSE, formula_atoms
+from eufui.formulas import FALSE, formula_atoms, wrap_definitions
 from eufui.parse import format_formula, parse, parse_formula
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
@@ -91,10 +91,23 @@ def test_semantic_prune_keeps_equivalence():
     assert len(ui.disjuncts) <= len(plain.disjuncts)
 
 
+def test_disjunct_formulas_built_once(monkeypatch):
+    calls = []
+
+    def counting_wrap(entries, body):
+        calls.append(body)
+        return wrap_definitions(entries, body)
+
+    monkeypatch.setattr(tableaux, "wrap_definitions", counting_wrap)
+    _, ui = run_text(EX16)
+    ui.formula()
+    assert len(calls) == len(ui.disjuncts) > 0
+
+
 def test_branch_cap():
     problem = parse(EX16)
     with pytest.raises(ResourceLimitError):
-        compute_tableaux_ui(flatten(problem), max_branches=4)
+        compute_tableaux_ui(flatten(problem), budget=Budget(max_branches=4))
 
 
 def shared_evar_text(k):
@@ -104,22 +117,13 @@ def shared_evar_text(k):
     return f"(declare-sort U 0)(declare-fun f (U U) U)(declare-const e U){decls}(eliminate e){lits}"
 
 
-def test_timeout_reports_work_done(monkeypatch):
+def test_timeout_reports_work_done(counting_clock):
     pre = flatten(parse(shared_evar_text(7)))
     assert compute_tableaux_ui(pre).stats["branches_explored"] == 877
 
-    class CountingClock:
-        reads = 0
-
-        @classmethod
-        def monotonic(cls):
-            cls.reads += 1
-            return float(cls.reads)
-
-    monkeypatch.setattr(tableaux, "time", CountingClock)
     with pytest.raises(ResourceLimitError) as exc:
-        compute_tableaux_ui(pre, timeout_at=200.0)
-    assert CountingClock.reads == 201
+        compute_tableaux_ui(pre, budget=Budget(deadline=200.0))
+    assert counting_clock.reads == 201
     assert exc.value.stats["branches_explored"] > 0
 
 
