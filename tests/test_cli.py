@@ -313,3 +313,26 @@ def test_stats_json_runs_are_byte_identical(tmp_path, capsys):
     first = run_cli(capsys, argv)
     second = run_cli(capsys, argv)
     assert first == second
+
+
+# Golden output: exact stdout, stats-json line and exit code of every demo input.
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_cli.json"
+GOLDEN_FLAGS = {
+    "both-equivalence": ["--algorithm", "both", "--verify", "equivalence"],
+    "unravel-stats": ["--unravel", "--format", "stats-json"],
+    "tableaux-stats": ["--algorithm", "tableaux", "--format", "stats-json"],
+}
+
+
+def golden_run(capsys, path, flags):
+    """One run's pinned bytes; the plain stats line carries timing, so it is left out."""
+    code, out, err = run_cli(capsys, GOLDEN_FLAGS[flags] + [str(path)])
+    return {"exit": code, "stdout": out, "stderr": err if "--format" in GOLDEN_FLAGS[flags] else None}
+
+
+@pytest.mark.parametrize("flags", GOLDEN_FLAGS)
+@pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)
+def test_demo_output_is_golden(path, flags, capsys):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert golden_run(capsys, path, flags) == golden[f"{path.name} {flags}"]
