@@ -9,7 +9,6 @@ from eufui.formulas import mk_and
 from eufui.parse import format_formula, parse, parse_formula
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
-from eufui.terms import lit_general
 
 INPUTS = Path(__file__).parent / "inputs"
 
@@ -21,7 +20,7 @@ def main() -> None:
     tab = compute_tableaux_ui(pre)
     cond = compute_conditional_ui(pre)
 
-    body = mk_and([lit_general(l) for l in problem.body.literals])
+    body = mk_and(problem.body.literals)
     for name, result in (("tableaux", tab), ("conditional", cond)):
         ok, _ = euf_valid(body, result.formula())
         print(f"input entails {name} interpolant: {ok}")

@@ -18,7 +18,6 @@ from .formulas import fsize, mk_and
 from .parse import format_formula, parse, print_ui
 from .preprocess import flatten
 from .tableaux import compute_tableaux_ui
-from .terms import lit_general
 
 STATS_KEYS = (
     "branches_explored",
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
 
         verified_line = None
         if args.verify == "residue":
-            inp = mk_and([lit_general(l) for l in problem.body.literals])
+            inp = mk_and(problem.body.literals)
             for result in (tab, cond):
                 if result is None:
                     continue

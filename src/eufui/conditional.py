@@ -18,14 +18,13 @@ from .errors import Budget
 from .formulas import FALSE, Let, expand_lets, mk_and, mk_eq, mk_implies, wrap_definitions
 from .terms import (
     DagDefinition,
-    Diseq,
-    FunEq,
+    Eq,
+    Ne,
     Symbol,
     Term,
-    VarEq,
     const,
     intern,
-    lit_general,
+    is_app_eq,
     mk_symbol,
     orient,
     term_substitute,
@@ -40,7 +39,7 @@ class HornClause:
     consequent: object
 
 
-def _atom_key(a: VarEq) -> tuple[int, int]:
+def _atom_key(a: Eq) -> tuple[int, int]:
     return (a.lhs.id, a.rhs.id)
 
 
@@ -54,7 +53,7 @@ def make_clause(antecedent, consequent, keep_tautology: bool = False):
     atoms = []
     seen = set()
     for a in antecedent:
-        a = orient(VarEq(a.lhs, a.rhs))
+        a = orient(a)
         if a.lhs is a.rhs:
             continue
         key = _atom_key(a)
@@ -62,7 +61,7 @@ def make_clause(antecedent, consequent, keep_tautology: bool = False):
             seen.add(key)
             atoms.append(a)
     atoms.sort(key=_atom_key)
-    if isinstance(consequent, VarEq):
+    if consequent is not None and not consequent.lhs.args:
         consequent = orient(consequent)
         if consequent.lhs is consequent.rhs:
             return None
@@ -78,7 +77,7 @@ def _clause_operands(c: HornClause):
     cq = c.consequent
     if cq is None:
         return
-    if isinstance(cq, FunEq):
+    if cq.lhs.args:
         yield from cq.lhs.args
         yield cq.rhs
     else:
@@ -91,11 +90,8 @@ def _mentions(c: HornClause, sym: Symbol) -> bool:
 
 
 def _is_rewriter(c: HornClause) -> bool:
-    return (
-        isinstance(c.consequent, VarEq)
-        and c.consequent.lhs.head.kind == "quantified"
-        and c.consequent.rhs.head.kind == "quantified"
-    )
+    cq = c.consequent
+    return cq is not None and cq.lhs.head.kind == "quantified" and cq.rhs.head.kind == "quantified"
 
 
 def step1(pre) -> list[HornClause]:
@@ -109,21 +105,21 @@ def step1(pre) -> list[HornClause]:
             out.append(c)
 
     for lit in pre.s1:
-        if isinstance(lit, FunEq):
+        if is_app_eq(lit):
             push(HornClause((), lit))
-        elif isinstance(lit, Diseq):
-            push(make_clause((VarEq(lit.lhs, lit.rhs),), None))
+        elif isinstance(lit, Ne):
+            push(make_clause((Eq(lit.lhs, lit.rhs),), None))
         else:
-            push(make_clause((), orient(VarEq(lit.lhs, lit.rhs))))
+            push(make_clause((), lit))
 
-    funeqs = [l for l in pre.s1 if isinstance(l, FunEq)]
+    funeqs = [l for l in pre.s1 if is_app_eq(l)]
     for i in range(len(funeqs)):
         for j in range(i + 1, len(funeqs)):
             a, b = funeqs[i], funeqs[j]
             if a.lhs.head is not b.lhs.head or a.rhs is b.rhs:
                 continue
-            ante = [VarEq(u, v) for u, v in zip(a.lhs.args, b.lhs.args)]
-            push(make_clause(ante, VarEq(a.rhs, b.rhs), keep_tautology=True))
+            ante = [Eq(u, v) for u, v in zip(a.lhs.args, b.lhs.args)]
+            push(make_clause(ante, Eq(a.rhs, b.rhs), keep_tautology=True))
     return out
 
 
@@ -136,28 +132,28 @@ def _rewrite_once(r: HornClause, c: HornClause) -> list[HornClause]:
     for idx, atom in enumerate(c.antecedent):
         if atom.lhs is src:
             ante = list(c.antecedent)
-            ante[idx] = VarEq(dst, atom.rhs)
+            ante[idx] = Eq(dst, atom.rhs)
             out.append(make_clause(ante + extra, c.consequent))
         if atom.rhs is src:
             ante = list(c.antecedent)
-            ante[idx] = VarEq(atom.lhs, dst)
+            ante[idx] = Eq(atom.lhs, dst)
             out.append(make_clause(ante + extra, c.consequent))
     cq = c.consequent
     if cq is not None and r is not c:
         base = list(c.antecedent) + extra
-        if isinstance(cq, VarEq):
+        if not cq.lhs.args:
             if cq.lhs is src:
-                out.append(make_clause(base, VarEq(dst, cq.rhs)))
+                out.append(make_clause(base, Eq(dst, cq.rhs)))
             if cq.rhs is src:
-                out.append(make_clause(base, VarEq(cq.lhs, dst)))
+                out.append(make_clause(base, Eq(cq.lhs, dst)))
         else:
             for k, a in enumerate(cq.lhs.args):
                 if a is src:
                     args = list(cq.lhs.args)
                     args[k] = dst
-                    out.append(make_clause(base, FunEq(intern(cq.lhs.head, tuple(args)), cq.rhs)))
+                    out.append(make_clause(base, Eq(intern(cq.lhs.head, tuple(args)), cq.rhs)))
             if cq.rhs is src:
-                out.append(make_clause(base, FunEq(cq.lhs, dst)))
+                out.append(make_clause(base, Eq(cq.lhs, dst)))
     return [c2 for c2 in out if c2 is not None]
 
 
@@ -221,12 +217,14 @@ def _def_body(c: HornClause, w: Symbol, allowed: set):
     if not all(_in_lang(a.lhs, allowed) and _in_lang(a.rhs, allowed) for a in c.antecedent):
         return None
     cq = c.consequent
-    if isinstance(cq, VarEq):
+    if cq is None:
+        return None
+    if not cq.lhs.args:
         for mine, other in ((cq.lhs, cq.rhs), (cq.rhs, cq.lhs)):
             if mine.head is w and _in_lang(other, allowed):
                 return other
         return None
-    if isinstance(cq, FunEq) and cq.rhs.head is w:
+    if cq.rhs.head is w:
         if all(_in_lang(a, allowed) for a in cq.lhs.args):
             return cq.lhs
     return None
@@ -352,7 +350,7 @@ class UiResultCnf:
         if self.falsified:
             return FALSE
         if unravel not in self._built:
-            parts = [lit_general(l) for l in self.passthrough]
+            parts = list(self.passthrough)
             parts += [phi.formula(unravel=unravel) for phi in self.phis]
             body = wrap_definitions(self.initial_delta.entries, mk_and(parts))
             self._built[unravel] = expand_lets(body) if unravel else body

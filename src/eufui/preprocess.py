@@ -16,17 +16,14 @@ from .formulas import mk_and
 from .terms import (
     Constraint,
     DagDefinition,
-    Diseq,
     Eq,
-    FunEq,
     NamePool,
     Ne,
     Symbol,
     Term,
-    VarEq,
     const,
     intern,
-    lit_general,
+    is_app_eq,
     lit_is_efree,
     lit_substitute,
     mk_symbol,
@@ -79,24 +76,22 @@ def flatten(problem) -> PreprocessedInput:
             introduced.append(e)
             pre.renaming[e] = t
             got = eshare[app.id] = const(e)
-            work.append(FunEq(app, got))
+            work.append(Eq(app, got))
         return got
 
     for lit in problem.body.literals:
         if lit.lhs is lit.rhs:
-            if isinstance(lit, (Ne, Diseq)):
+            if isinstance(lit, Ne):
                 pre.falsified = True
                 return pre
             continue
         if lit_is_efree(lit):
-            general = lit_general(lit)
-            if general not in pre.passthrough.literals:
-                pre.passthrough.literals.append(general)
+            if lit not in pre.passthrough.literals:
+                pre.passthrough.literals.append(lit)
             continue
         a = atom_of(lit.lhs)
         b = atom_of(lit.rhs)
-        kind = Diseq if isinstance(lit, (Ne, Diseq)) else VarEq
-        work.append(orient(kind(a, b)))
+        work.append(orient(type(lit)(a, b)))
 
     def eliminate(i: int, sym: Symbol, witness: Term) -> None:
         pre.eliminated[sym] = witness
@@ -116,22 +111,21 @@ def flatten(problem) -> PreprocessedInput:
         changed = False
         seen = set()
         for i, lit in enumerate(work):
-            if isinstance(lit, VarEq) and lit.lhs is lit.rhs:
+            if lit.lhs is lit.rhs:
+                if isinstance(lit, Ne):
+                    pre.falsified = True
+                    return pre
                 del work[i]
                 changed = True
                 break
-            if isinstance(lit, Diseq) and lit.lhs is lit.rhs:
-                pre.falsified = True
-                return pre
-            if isinstance(lit, VarEq) and lit.lhs.head.kind == "quantified":
+            if isinstance(lit, Eq) and lit.lhs.head.kind == "quantified":
                 eliminate(i, lit.lhs.head, lit.rhs)
                 changed = True
                 break
             if lit_is_efree(lit):
                 del work[i]
-                general = lit_general(lit)
-                if general not in pre.passthrough.literals:
-                    pre.passthrough.literals.append(general)
+                if lit not in pre.passthrough.literals:
+                    pre.passthrough.literals.append(lit)
                 changed = True
                 break
             if lit in seen:
@@ -143,7 +137,7 @@ def flatten(problem) -> PreprocessedInput:
             continue
         for i, lit in enumerate(work):
             if (
-                isinstance(lit, FunEq)
+                is_app_eq(lit)
                 and lit.rhs.head.kind == "quantified"
                 and all(term_is_efree(a) for a in lit.lhs.args)
             ):
@@ -199,7 +193,7 @@ def replay_check(pre: PreprocessedInput, problem) -> bool:
     """Audit flattening: both entailment directions hold under the oracle."""
     if pre.falsified:
         return True
-    body = mk_and(list(problem.body.literals)) if problem.body.literals else mk_and([])
+    body = mk_and(problem.body.literals)
     # y bodies may mention earlier y's, so definitions resolve recursively.
     memo: dict = {}
 
@@ -208,14 +202,12 @@ def replay_check(pre: PreprocessedInput, problem) -> bool:
 
     forward_target = []
     for lit in list(pre.passthrough.literals) + list(pre.s1):
-        g = lit_general(lit)
-        forward_target.append(type(g)(original(g.lhs), original(g.rhs)))
+        forward_target.append(type(lit)(original(lit.lhs), original(lit.rhs)))
     ok, _ = euf_valid(body, mk_and(forward_target))
     if not ok:
         return False
 
-    back_hyp = [lit_general(l) for l in pre.passthrough.literals]
-    back_hyp += [lit_general(l) for l in pre.s1]
+    back_hyp = list(pre.passthrough.literals) + list(pre.s1)
     back_hyp += [Eq(const(y), t) for y, t in pre.initial_delta.entries]
     back_hyp += [Eq(const(sym), w) for sym, w in pre.eliminated.items()]
     ok, _ = euf_valid(mk_and(back_hyp), body)

@@ -17,13 +17,11 @@ from .parse import format_formula
 from .terms import (
     Constraint,
     DagDefinition,
-    Diseq,
-    FunEq,
+    Eq,
     Ne,
-    VarEq,
     compatible,
     const,
-    lit_general,
+    is_app_eq,
     lit_is_efree,
     lit_substitute,
     mk_symbol,
@@ -46,9 +44,9 @@ class Disjunct:
         if unravel not in self._built:
             if unravel:
                 flat = unravel_constraint(self.delta, Constraint(list(self.phi)))
-                self._built[True] = mk_and([lit_general(l) for l in flat.literals])
+                self._built[True] = mk_and(flat.literals)
             else:
-                body = mk_and([lit_general(l) for l in self.phi])
+                body = mk_and(self.phi)
                 self._built[False] = wrap_definitions(self.delta.entries, body)
         return self._built[unravel]
 
@@ -94,7 +92,7 @@ def _blocked(diffs, phi) -> bool:
     for u, v in diffs:
         key = frozenset((u.id, v.id))
         for lit in phi:
-            if isinstance(lit, (Diseq, Ne)) and frozenset((lit.lhs.id, lit.rhs.id)) == key:
+            if isinstance(lit, Ne) and frozenset((lit.lhs.id, lit.rhs.id)) == key:
                 return True
     return False
 
@@ -133,22 +131,22 @@ def compute_tableaux_ui(
                 return ("1.0", i)
         for i, j in _pairs(n, forward):
             a, b = psi[i], psi[j]
-            if isinstance(a, FunEq) and isinstance(b, FunEq) and a.lhs is b.lhs:
+            if is_app_eq(a) and is_app_eq(b) and a.lhs is b.lhs:
                 return ("1.i", (i, j))
         for i in idx:
             lit = psi[i]
             if (
-                isinstance(lit, VarEq)
+                isinstance(lit, Eq)
                 and lit.lhs.head.kind == "quantified"
                 and lit.rhs.head.kind == "quantified"
             ):
                 return ("1.ii", i)
         for i in idx:
             lit = psi[i]
-            if isinstance(lit, VarEq) and lit.lhs.head.kind == "quantified" and term_is_efree(lit.rhs):
+            if isinstance(lit, Eq) and lit.lhs.head.kind == "quantified" and term_is_efree(lit.rhs):
                 return ("2", i)
             if (
-                isinstance(lit, FunEq)
+                is_app_eq(lit)
                 and lit.rhs.head.kind == "quantified"
                 and all(term_is_efree(a) for a in lit.lhs.args)
             ):
@@ -158,7 +156,7 @@ def compute_tableaux_ui(
                 return ("3", i)
         for i, j in _pairs(n, forward):
             a, b = psi[i], psi[j]
-            if isinstance(a, FunEq) and isinstance(b, FunEq) and a.lhs is not b.lhs:
+            if is_app_eq(a) and is_app_eq(b) and a.lhs is not b.lhs:
                 diffs = compatible(a.lhs, b.lhs)
                 if diffs is not None and not _blocked(diffs, state.phi):
                     return ("4", (i, j, diffs))
@@ -167,19 +165,19 @@ def compute_tableaux_ui(
     def apply_rule(state: _State, kind: str, payload) -> str:
         psi = state.psi
         if kind == "1.0":
-            if isinstance(psi[payload], Diseq):
+            if isinstance(psi[payload], Ne):
                 return "closed"
             del psi[payload]
         elif kind == "1.i":
             i, j = payload
-            psi[i] = orient(VarEq(psi[i].rhs, psi[j].rhs))
+            psi[i] = orient(Eq(psi[i].rhs, psi[j].rhs))
         elif kind == "1.ii":
             lit = psi.pop(payload)
             mapping = {lit.lhs.head: lit.rhs}
             psi[:] = [lit_substitute(l, mapping) for l in psi]
         elif kind == "2":
             lit = psi.pop(payload)
-            if isinstance(lit, VarEq):
+            if not lit.lhs.args:
                 evar, body = lit.lhs.head, lit.rhs
             else:
                 evar, body = lit.rhs.head, lit.lhs
@@ -200,15 +198,15 @@ def compute_tableaux_ui(
         a, b = s0.psi[i].rhs, s0.psi[j].rhs
         del s0.psi[j]
         if a is not b:
-            s0.psi.append(orient(VarEq(a, b)))
+            s0.psi.append(orient(Eq(a, b)))
         for u, v in diffs:
-            eq = orient(VarEq(u, v))
+            eq = orient(Eq(u, v))
             if eq not in s0.phi:
                 s0.phi.append(eq)
         succs.append(s0)
         for u, v in diffs:
             sk = state.copy()
-            sk.phi.append(orient(Diseq(u, v)))
+            sk.phi.append(orient(Ne(u, v)))
             succs.append(sk)
         return succs
 

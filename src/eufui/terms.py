@@ -1,28 +1,24 @@
-"""Interned term DAG, flat literals, constraints and DAG-definitions.
+"""Interned term DAG, ground literals, constraints and DAG-definitions.
 
-Terms are hash-consed into a global append-only table with dense integer
-ids, so structural equality is identity and iteration order is stable
-across runs. All values here are immutable once constructed.
+Terms are hash-consed into a table on their head symbol, so structural
+equality is identity and a term lives exactly as long as the symbols of
+the problem that built it. Ids come from one counter, so iteration order
+is stable across runs. All values here are immutable once constructed.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-KINDS = ("function", "parameter", "quantified", "defined", "fresh-constant")
+KINDS = ("function", "parameter", "quantified", "defined")
 
 # Orientation order of 0-ary operands: quantified above defined above
-# parameter above fresh constants, ties by creation id. Rule 1.ii and the
-# saturation rewriter both need the higher eliminate index on the left.
-_KIND_RANK = {
-    "quantified": 3,
-    "defined": 2,
-    "parameter": 1,
-    "fresh-constant": 0,
-    "function": 0,
-}
+# parameter, ties by creation id. Rule 1.ii and the saturation rewriter
+# both need the higher eliminate index on the left.
+_KIND_RANK = {"quantified": 3, "defined": 2, "parameter": 1, "function": 0}
 
-_next_symbol_uid = 0
-_term_table: dict[tuple[int, tuple[int, ...]], "Term"] = {}
+_symbol_uids = itertools.count()
+_term_ids = itertools.count()
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +27,8 @@ class Symbol:
     arity: int
     kind: str
     uid: int
+    # Applications of this symbol, keyed by their argument ids.
+    terms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def rank(self) -> tuple[int, int]:
         return (_KIND_RANK[self.kind], self.uid)
@@ -41,14 +39,11 @@ class Symbol:
 
 def mk_symbol(name: str, arity: int, kind: str) -> Symbol:
     """Create a new symbol with a fresh uid (uids order symbols of one kind)."""
-    global _next_symbol_uid
     if kind not in KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}")
     if kind != "function" and arity != 0:
         raise ValueError(f"{kind} symbol {name!r} must have arity 0")
-    uid = _next_symbol_uid
-    _next_symbol_uid += 1
-    return Symbol(name, arity, kind, uid)
+    return Symbol(name, arity, kind, next(_symbol_uids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +63,10 @@ def intern(head: Symbol, args: tuple[Term, ...] | list[Term] = ()) -> Term:
     args = tuple(args)
     if len(args) != head.arity:
         raise ValueError(f"arity mismatch: {head.name} expects {head.arity} args, got {len(args)}")
-    key = (head.uid, tuple(a.id for a in args))
-    t = _term_table.get(key)
+    key = tuple(a.id for a in args)
+    t = head.terms.get(key)
     if t is None:
-        t = _term_table[key] = Term(len(_term_table), head, args)
+        t = head.terms[key] = Term(next(_term_ids), head, args)
     return t
 
 
@@ -128,38 +123,9 @@ def term_tree_size(t: Term, memo: dict | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Literals. Flat literals relate 0-ary operands only (the FunEq left side is
-# the single application); Eq/Ne are the general ground forms used by the
-# oracle and by unravelled output.
-
-
-@dataclass(frozen=True)
-class FunEq:
-    """f(a1..ah) = a with every argument and the right side 0-ary."""
-
-    lhs: Term
-    rhs: Term
-
-    def __repr__(self) -> str:
-        return f"{self.lhs!r}={self.rhs!r}"
-
-
-@dataclass(frozen=True)
-class VarEq:
-    lhs: Term
-    rhs: Term
-
-    def __repr__(self) -> str:
-        return f"{self.lhs!r}={self.rhs!r}"
-
-
-@dataclass(frozen=True)
-class Diseq:
-    lhs: Term
-    rhs: Term
-
-    def __repr__(self) -> str:
-        return f"{self.lhs!r}!={self.rhs!r}"
+# Literals: ground equations and disequations. The flat language of both
+# engines uses three shapes of them: f(a1..ah) = a (an Eq whose left side is
+# the one application), a = b and a != b, every operand 0-ary.
 
 
 @dataclass(frozen=True)
@@ -180,9 +146,14 @@ class Ne:
         return f"{self.lhs!r}!={self.rhs!r}"
 
 
+def is_app_eq(lit) -> bool:
+    """True for the flat application shape f(a1..ah) = a."""
+    return isinstance(lit, Eq) and bool(lit.lhs.args)
+
+
 def orient(lit):
-    """Store VarEq/Diseq with the larger-ranked symbol on the left."""
-    if isinstance(lit, (VarEq, Diseq)) and lit.lhs.head.rank() < lit.rhs.head.rank():
+    """Store a literal between 0-ary terms with the larger-ranked symbol on the left."""
+    if not (lit.lhs.args or lit.rhs.args) and lit.lhs.head.rank() < lit.rhs.head.rank():
         return type(lit)(lit.rhs, lit.lhs)
     return lit
 
@@ -192,27 +163,12 @@ def lit_is_efree(lit) -> bool:
 
 
 def lit_substitute(lit, mapping: dict[Symbol, Term], memo: dict | None = None):
-    """Apply a 0-ary substitution to both sides; re-orient flat (dis)equalities."""
+    """Apply a 0-ary substitution to both sides, then re-orient."""
     if memo is None:
         memo = {}
     lhs = term_substitute(lit.lhs, mapping, memo)
     rhs = term_substitute(lit.rhs, mapping, memo)
-    out = type(lit)(lhs, rhs)
-    return orient(out) if isinstance(out, (VarEq, Diseq)) else out
-
-
-def lit_general(lit):
-    """Flat literal as a general Eq/Ne literal."""
-    if isinstance(lit, (Diseq, Ne)):
-        return Ne(lit.lhs, lit.rhs)
-    return Eq(lit.lhs, lit.rhs)
-
-
-def lit_size(lit) -> int:
-    """Size measure used by the tableaux termination argument."""
-    if isinstance(lit, FunEq):
-        return lit.lhs.head.arity + 3
-    return 2
+    return orient(type(lit)(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +212,10 @@ def sigma_delta_apply(delta: DagDefinition, t: Term, memo: dict | None = None) -
 
 @dataclass
 class Constraint:
-    """A conjunction of literals (flat or general); falsified denotes bottom."""
+    """A conjunction of literals; falsified denotes bottom."""
 
     literals: list = field(default_factory=list)
     falsified: bool = False
-
-    def copy(self) -> "Constraint":
-        return Constraint(list(self.literals), self.falsified)
 
 
 def unravel(delta: DagDefinition, phi: Constraint) -> Constraint:
@@ -274,19 +227,16 @@ def unravel(delta: DagDefinition, phi: Constraint) -> Constraint:
     for lit in phi.literals:
         lhs = sigma_delta_apply(delta, lit.lhs, memo)
         rhs = sigma_delta_apply(delta, lit.rhs, memo)
-        out.append(Ne(lhs, rhs) if isinstance(lit, (Diseq, Ne)) else Eq(lhs, rhs))
+        out.append(type(lit)(lhs, rhs))
     return Constraint(out)
 
 
-def compatible(t: Term, u: Term, efree=None):
+def compatible(t: Term, u: Term):
     """Difference pairs of two same-head applications, or None when incompatible.
 
-    Argument pairs must be identical or both free of symbols rejected by
-    efree (default: quantified-free). The returned list keeps first
-    occurrence order and drops repeated pairs.
+    Argument pairs must be identical or both e-free. The returned list keeps
+    first occurrence order and drops repeated pairs.
     """
-    if efree is None:
-        efree = term_is_efree
     if t.head is not u.head or not t.args:
         return None
     diffs = []
@@ -294,7 +244,7 @@ def compatible(t: Term, u: Term, efree=None):
     for a, b in zip(t.args, u.args):
         if a is b:
             continue
-        if not (efree(a) and efree(b)):
+        if not (term_is_efree(a) and term_is_efree(b)):
             return None
         key = frozenset((a.id, b.id))
         if key not in seen:

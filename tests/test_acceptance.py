@@ -29,7 +29,7 @@ from eufui.formulas import fsize, mk_and
 from eufui.parse import Problem, parse
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
-from eufui.terms import Constraint, Eq, Ne, const, intern, lit_general, mk_symbol
+from eufui.terms import Constraint, Eq, Ne, const, intern, mk_symbol
 
 # Randomized-corpus shape: at most 3 binary-or-unary function symbols,
 # 4 eliminated variables, 5 parameters, 8 literals. Instances whose
@@ -73,7 +73,7 @@ def corpus():
             continue
         tab = compute_tableaux_ui(pre)
         rev = compute_tableaux_ui(pre, strategy="reversed")
-        inp = mk_and([lit_general(l) for l in problem.body.literals])
+        inp = mk_and(problem.body.literals)
         rows.append((inp, tab, rev, cond))
     return {"rows": rows, "build_seconds": time.monotonic() - started}
 

@@ -24,7 +24,7 @@ from eufui.formulas import FALSE, formula_atoms, mk_and
 from eufui.parse import format_formula, format_term, parse, parse_formula
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
-from eufui.terms import FunEq, VarEq, lit_general
+from eufui.terms import Eq
 
 # Two same-shape application pairs per placeholder pair; three ways to chain
 # the conditional definitions, each giving a different conjunct of the UI.
@@ -303,8 +303,8 @@ def test_result_formulas_built_once():
 def merged_pair_clause(a: HornClause, b: HornClause):
     """The congruence merge of two same-shape conditional applications."""
     ante = list(a.antecedent) + list(b.antecedent)
-    ante += [VarEq(u, v) for u, v in zip(a.consequent.lhs.args, b.consequent.lhs.args)]
-    return make_clause(ante, VarEq(a.consequent.rhs, b.consequent.rhs))
+    ante += [Eq(u, v) for u, v in zip(a.consequent.lhs.args, b.consequent.lhs.args)]
+    return make_clause(ante, Eq(a.consequent.rhs, b.consequent.rhs))
 
 
 def subsumed_in(clause, clauses) -> bool:
@@ -313,7 +313,7 @@ def subsumed_in(clause, clauses) -> bool:
 
 
 def assert_merges_persist(s3):
-    funeqs = [c for c in s3 if isinstance(c.consequent, FunEq)]
+    funeqs = [c for c in s3 if isinstance(c.consequent, Eq) and c.consequent.lhs.args]
     for a, b in itertools.combinations(funeqs, 2):
         if a.consequent.lhs.head is not b.consequent.lhs.head:
             continue
@@ -339,9 +339,9 @@ def test_cyclic_pair_keeps_tautological_merge():
     y1 = const(mk_symbol("y1", 0, "defined"))
     e2, e3, e4 = (const(mk_symbol(n, 0, "quantified")) for n in ("e2", "e3", "e4"))
     s1 = [
-        FunEq(intern(f, (y1,)), e3),
-        FunEq(intern(f, (e2,)), e4),
-        FunEq(intern(f, (e4,)), e2),
+        Eq(intern(f, (y1,)), e3),
+        Eq(intern(f, (e2,)), e4),
+        Eq(intern(f, (e4,)), e2),
     ]
     s2 = step1(SimpleNamespace(s1=s1))
     assert "[e4=e2]->e4=e2" in {clause_str(c) for c in s2}
@@ -372,7 +372,7 @@ def test_random_corpus_residue_and_cross_algorithm_agreement():
                     u = stack.pop()
                     assert u.head.kind not in ("quantified", "defined")
                     stack.extend(u.args)
-        inp = mk_and([lit_general(l) for l in problem.body.literals])
+        inp = mk_and(problem.body.literals)
         ok, cube = euf_valid(inp, ui)
         assert ok, (cube, format_formula(ui))
         tab = compute_tableaux_ui(pre).formula(unravel=True)

@@ -11,7 +11,7 @@ from eufui.euf import euf_equiv
 from eufui.parse import format_formula, format_term, parse
 from eufui.preprocess import flatten, live_symbols, replay_check
 from eufui.tableaux import compute_tableaux_ui
-from eufui.terms import Diseq, FunEq, VarEq, const, lit_general
+from eufui.terms import Eq, Ne, const
 
 EX22 = """
 (declare-sort U 0)
@@ -63,7 +63,7 @@ ROW58 = """
 
 
 def fmt(lits):
-    return [format_formula(lit_general(l)) for l in lits]
+    return [format_formula(l) for l in lits]
 
 
 def test_flatten_already_flat_passes_through():
@@ -214,9 +214,10 @@ def test_flatten_output_shapes():
         live = live_symbols(pre.s1)
         assert live == set(pre.evars)
         for lit in pre.s1:
-            assert isinstance(lit, (FunEq, Diseq))
+            app_eq = isinstance(lit, Eq) and bool(lit.lhs.args)
+            assert app_eq or isinstance(lit, Ne)
             assert not lit.rhs.args
-            if isinstance(lit, FunEq):
+            if app_eq:
                 assert all(not a.args for a in lit.lhs.args)
             else:
                 assert not lit.lhs.args
@@ -274,7 +275,7 @@ def test_replay_detects_corruption():
     problem = parse(EX39)
     pre = flatten(problem)
     z1 = problem.symbols["z1"]
-    pre.s1[0] = FunEq(pre.s1[0].lhs, const(z1))
+    pre.s1[0] = Eq(pre.s1[0].lhs, const(z1))
     assert not replay_check(pre, problem)
 
     problem = parse(

@@ -12,9 +12,9 @@ from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
 from eufui.formulas import FALSE, formula_atoms, wrap_definitions
 from eufui.parse import format_formula, parse, parse_formula
-from eufui.preprocess import flatten
+from eufui.preprocess import PreprocessedInput, flatten
 from eufui.tableaux import compute_tableaux_ui
-from eufui.terms import lit_general, term_is_efree, term_symbols
+from eufui.terms import Eq, const, mk_symbol, term_is_efree, term_symbols
 
 EX39_TARGET = "(=> (and (= z1 z2) (= z3 z4)) (= (h z0) z0))"
 EX22_TARGET = "(=> (= z1 z3) (= z2 z4))"
@@ -104,6 +104,16 @@ def test_disjunct_formulas_built_once(monkeypatch):
     assert len(calls) == len(ui.disjuncts) > 0
 
 
+def test_rule_1i_needs_application_sides():
+    # e=z1 and e=z2 share a left side but are no application pair: rule 2
+    # defines e by z1 and rule 3 keeps y1=z2.
+    e = const(mk_symbol("e", 0, "quantified"))
+    z1, z2 = (const(mk_symbol(n, 0, "parameter")) for n in ("z1", "z2"))
+    ui = compute_tableaux_ui(PreprocessedInput(s1=[Eq(e, z1), Eq(e, z2)], evars=[e.head]))
+    assert ui.stats["rule_apps"] == {"1.0": 0, "1.i": 0, "1.ii": 0, "2": 1, "3": 1, "4": 0}
+    assert format_formula(ui.formula()) == "(let ((y1 z1)) (= y1 z2))"
+
+
 def test_branch_cap():
     problem = parse(EX16)
     with pytest.raises(ResourceLimitError):
@@ -177,7 +187,7 @@ def test_residue_on_random_corpus():
             continue
         from eufui.formulas import mk_and
 
-        body = mk_and([lit_general(l) for l in problem.body.literals])
+        body = mk_and(problem.body.literals)
         ui = compute_tableaux_ui(flatten(problem))
         ok, witness = euf_valid(body, ui.formula())
         assert ok, witness

@@ -1,23 +1,23 @@
 """Term interning, substitution, unravelling and compatibility."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import Sig
 from eufui.euf import euf_valid
 from eufui.formulas import mk_and, sub_formula
+from eufui.parse import parse
 from eufui.terms import (
     Constraint,
     DagDefinition,
-    Diseq,
     Eq,
-    FunEq,
     Ne,
-    VarEq,
     compatible,
     const,
     intern,
-    lit_size,
     lit_substitute,
     mk_symbol,
     orient,
@@ -45,6 +45,18 @@ def test_intern_arity_mismatch():
     z1 = s.params("z1")[0]
     with pytest.raises(ValueError):
         intern(f, (z1,))
+
+
+def test_terms_are_freed_with_their_problem():
+    problem = parse(
+        "(declare-sort U 0)(declare-fun f (U) U)(declare-const z U)(declare-const e U)"
+        "(eliminate e)(assert (= (f e) z))"
+    )
+    f, z = problem.symbols["f"], problem.symbols["z"]
+    ref = weakref.ref(intern(f, (intern(f, (const(z),)),)))
+    del problem, f, z
+    gc.collect()
+    assert ref() is None
 
 
 def test_sigma_delta_examples():
@@ -81,10 +93,10 @@ def test_unravel_examples():
     y1 = mk_symbol("y1", 0, "defined")
     y2 = mk_symbol("y2", 0, "defined")
     d = DagDefinition([(y1, z3), (y2, const(y1))])
-    phi = Constraint([FunEq(intern(h, (const(y2),)), z0)])
+    phi = Constraint([Eq(intern(h, (const(y2),)), z0)])
     out = unravel(d, phi)
     assert out.literals == [Eq(intern(h, (z3,)), z0)]
-    empty = unravel(DagDefinition([]), Constraint([Diseq(z0, z3)]))
+    empty = unravel(DagDefinition([]), Constraint([Ne(z0, z3)]))
     assert empty.literals == [Ne(z0, z3)]
 
 
@@ -95,7 +107,7 @@ def test_unravel_matches_exists_semantics():
     y1 = mk_symbol("y1", 0, "defined")
     y2 = mk_symbol("y2", 0, "defined")
     d = DagDefinition([(y1, intern(f, (z, z))), (y2, intern(f, (const(y1), const(y1))))])
-    phi = Constraint([VarEq(const(y2), z)])
+    phi = Constraint([Eq(const(y2), z)])
     defs = mk_and([Eq(const(yv), body) for yv, body in d.entries])
     quantified_form = mk_and([defs, Eq(const(y2), z)])
     flat_form = mk_and(list(unravel(d, phi).literals))
@@ -126,11 +138,15 @@ def test_orientation_total_order():
     e0, e1 = s.evars("e0", "e1")
     y = const(mk_symbol("y1", 0, "defined"))
     # higher eliminate index on the left; quantified above defined above parameter
-    assert orient(VarEq(e0, e1)) == VarEq(e1, e0)
-    assert orient(VarEq(e1, e0)) == VarEq(e1, e0)
-    assert orient(VarEq(z1, e0)) == VarEq(e0, z1)
-    assert orient(Diseq(z1, y)) == Diseq(y, z1)
-    assert lit_substitute(VarEq(e1, z1), {e1.head: e0}) == VarEq(e0, z1)
+    assert orient(Eq(e0, e1)) == Eq(e1, e0)
+    assert orient(Eq(e1, e0)) == Eq(e1, e0)
+    assert orient(Eq(z1, e0)) == Eq(e0, z1)
+    assert orient(Ne(z1, y)) == Ne(y, z1)
+    assert lit_substitute(Eq(e1, z1), {e1.head: e0}) == Eq(e0, z1)
+    # a side with arguments is never reordered: f(e0)=e1 keeps its application shape
+    fe0 = intern(s.fn("f", 1), (e0,))
+    assert orient(Eq(fe0, e1)) == Eq(fe0, e1)
+    assert lit_substitute(Eq(fe0, z1), {e0.head: e1}).lhs.args == (e1,)
 
 
 def test_doubling_chain_compression():
@@ -148,13 +164,3 @@ def test_doubling_chain_compression():
     assert term_tree_size(out) == 2 ** 11 - 1
     assert len(d.entries) == 10
 
-
-def test_literal_size_measure():
-    s = Sig()
-    f = s.fn("f", 2)
-    c = s.fn("c", 0)
-    z1, z2 = s.params("z1", "z2")
-    assert lit_size(FunEq(intern(f, (z1, z2)), z1)) == 5
-    assert lit_size(FunEq(intern(c, ()), z1)) == 3
-    assert lit_size(VarEq(z1, z2)) == 2
-    assert lit_size(Diseq(z1, z2)) == 2
