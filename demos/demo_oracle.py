@@ -20,7 +20,7 @@ def main() -> None:
     tab = compute_tableaux_ui(pre)
     cond = compute_conditional_ui(pre)
 
-    body = mk_and(problem.body.literals)
+    body = mk_and(problem.body)
     for name, result in (("tableaux", tab), ("conditional", cond)):
         ok, _ = euf_valid(body, result.formula())
         print(f"input entails {name} interpolant: {ok}")

@@ -101,10 +101,7 @@ def main(argv=None) -> int:
 
     try:
         problem = parse(_read_input(args.file))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
+    except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -122,7 +119,7 @@ def main(argv=None) -> int:
 
         verified_line = None
         if args.verify == "residue":
-            inp = mk_and(problem.body.literals)
+            inp = mk_and(problem.body)
             for result in (tab, cond):
                 if result is None:
                     continue

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from .errors import Budget
 from .formulas import FALSE, Let, expand_lets, mk_and, mk_eq, mk_implies, wrap_definitions
 from .terms import (
-    DagDefinition,
     Eq,
+    NamePool,
     Ne,
     Symbol,
     Term,
@@ -27,6 +27,7 @@ from .terms import (
     is_app_eq,
     mk_symbol,
     orient,
+    resolve,
     term_substitute,
 )
 
@@ -271,13 +272,6 @@ def core_clauses(s3, wset: set) -> list[HornClause]:
     return [c for c in s3 if all(_in_lang(t, wset) for t in _clause_operands(c))]
 
 
-def _sigma_map(entries) -> dict:
-    mapping: dict = {}
-    for e in entries:
-        mapping[e.var] = term_substitute(e.body, mapping)
-    return mapping
-
-
 def _clause_trivial(c: HornClause, mapping: dict) -> bool:
     cq = c.consequent
     if cq is None:
@@ -324,12 +318,14 @@ class PhiDelta:
                 bound = self.placeholders[e.var]
                 body = mk_implies(gamma, Let(bound, term_substitute(e.body, wmap), body))
             return body
-        sigma: dict = {}
-        hyp = []
-        for e in self.entries:
-            for a in e.clause.antecedent:
-                hyp.append(mk_eq(term_substitute(a.lhs, sigma), term_substitute(a.rhs, sigma)))
-            sigma[e.var] = term_substitute(e.body, sigma)
+        # An entry's antecedent mentions only earlier placeholders, so the
+        # whole chain's map gives the same atoms as its prefix would.
+        sigma = resolve((e.var, e.body) for e in self.entries)
+        hyp = [
+            mk_eq(term_substitute(a.lhs, sigma), term_substitute(a.rhs, sigma))
+            for e in self.entries
+            for a in e.clause.antecedent
+        ]
         concl = mk_and([_clause_formula(c, sigma) for c in self.core])
         return mk_implies(mk_and(hyp), concl)
 
@@ -338,7 +334,7 @@ class PhiDelta:
 class UiResultCnf:
     phis: list
     passthrough: list
-    initial_delta: DagDefinition
+    initial_delta: list
     s2: list
     s3: list
     stats: dict
@@ -352,7 +348,7 @@ class UiResultCnf:
         if unravel not in self._built:
             parts = list(self.passthrough)
             parts += [phi.formula(unravel=unravel) for phi in self.phis]
-            body = wrap_definitions(self.initial_delta.entries, mk_and(parts))
+            body = wrap_definitions(self.initial_delta, mk_and(parts))
             self._built[unravel] = expand_lets(body) if unravel else body
         return self._built[unravel]
 
@@ -361,7 +357,7 @@ def compute_conditional_ui(pre, budget: Budget = Budget(), order: str = "fifo") 
     """Run both saturation steps, extract all chains, keep the useful ones."""
     stats = {"s2_size": 0, "s3_size": 0, "num_cdags": 0, "clauses_created": 0, "cdags_visited": 0}
     if pre.falsified:
-        return UiResultCnf([], [], DagDefinition(), [], [], stats, falsified=True)
+        return UiResultCnf([], [], [], [], [], stats, falsified=True)
 
     s2 = step1(pre)
     stats["s2_size"] = len(s2)
@@ -374,17 +370,12 @@ def compute_conditional_ui(pre, budget: Budget = Budget(), order: str = "fifo") 
         core = core_clauses(s3, wset)
         if not core:
             continue
-        sigma = _sigma_map(entries)
+        sigma = resolve((e.var, e.body) for e in entries)
         if all(_clause_trivial(c, sigma) for c in core):
             continue
-        names = {}
-        k = 1
-        for e in entries:
-            while f"w{k}" in pre.taken_names:
-                k += 1
-            names[e.var] = mk_symbol(f"w{k}", 0, "defined")
-            k += 1
+        wnames = NamePool("w", pre.taken_names, 1)
+        names = {e.var: mk_symbol(wnames.fresh(), 0, "defined") for e in entries}
         phis.append(PhiDelta(list(entries), core, names))
     stats["num_cdags"] = len(phis)
 
-    return UiResultCnf(phis, list(pre.passthrough.literals), pre.initial_delta.copy(), s2, s3, stats)
+    return UiResultCnf(phis, list(pre.passthrough), list(pre.initial_delta), s2, s3, stats)

@@ -3,7 +3,8 @@
 cc_sat decides conjunctions of ground (dis)equalities. euf_valid reduces
 validity to unsatisfiability and searches the lazy DNF of the query with
 closure-based pruning, so only cubes consistent so far are ever expanded;
-the cube cap counts cc_sat calls, and the deadline is checked at each one.
+the cube cap counts cc_sat calls, and the deadline is checked at each one
+and before each let-expansion and NNF pass.
 """
 from __future__ import annotations
 
@@ -218,8 +219,13 @@ def euf_valid(hyp, concl, budget: Budget = Budget()):
     Both formulas are quantifier-free; any variables are read as fresh
     constants. Raises ResourceLimitError when the cube cap or deadline passes.
     """
-    query = mk_and([nnf(expand_lets(hyp)), nnf(expand_lets(concl), positive=False)])
-    cube = _find_sat_cube(query, budget)
+    parts = []
+    for f, positive in ((hyp, True), (concl, False)):
+        budget.check_time({"cubes_spent": 0})
+        f = expand_lets(f)
+        budget.check_time({"cubes_spent": 0})
+        parts.append(nnf(f, positive))
+    cube = _find_sat_cube(mk_and(parts), budget)
     if cube is None:
         return True, None
     return False, cube

@@ -26,7 +26,7 @@ from .formulas import (
     mk_ne,
     mk_or,
 )
-from .terms import Constraint, Eq, Ne, Symbol, Term, const, intern, mk_symbol
+from .terms import Eq, Ne, Symbol, Term, const, intern, mk_symbol
 
 # Deepest accepted application nesting in a problem term; the engines, the
 # oracle and the printer recurse on term depth.
@@ -39,7 +39,7 @@ class Problem:
     functions: list[Symbol]
     parameters: list[Symbol]
     eliminate: list[Symbol]
-    body: Constraint
+    body: list
     symbols: dict[str, Symbol] = field(default_factory=dict)
 
 
@@ -216,10 +216,7 @@ def parse(text) -> Problem:
         eliminate.append(q)
     parameters = [symbols[c.name] for c in consts if symbols[c.name].kind == "parameter"]
 
-    body = Constraint()
-    for node in assertions:
-        for lit in _parse_literal(node, symbols):
-            body.literals.append(lit)
+    body = [lit for node in assertions for lit in _parse_literal(node, symbols)]
 
     return Problem(sort or "U", functions, parameters, eliminate, body, symbols)
 

@@ -2,7 +2,7 @@
 
 The output holds only literals of two shapes over 0-ary operands,
 f(a1..ah)=a and a!=b, each mentioning a quantified variable; everything
-e-free is routed to the passthrough constraint. Quantified equalities
+e-free is routed to the passthrough list. Quantified equalities
 e=t with t e-free never survive: they are eliminated by replacement and
 their witnesses recorded for the replay audit. Nor do applications
 f(a1..ah)=e with every ai e-free: e becomes a y-definition (rule 2).
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from .euf import euf_valid
 from .formulas import mk_and
 from .terms import (
-    Constraint,
-    DagDefinition,
     Eq,
     NamePool,
     Ne,
@@ -28,17 +26,17 @@ from .terms import (
     lit_substitute,
     mk_symbol,
     orient,
-    sigma_delta_apply,
     term_is_efree,
     term_substitute,
+    unravel,
 )
 
 
 @dataclass
 class PreprocessedInput:
     s1: list = field(default_factory=list)
-    passthrough: Constraint = field(default_factory=Constraint)
-    initial_delta: DagDefinition = field(default_factory=DagDefinition)
+    passthrough: list = field(default_factory=list)
+    initial_delta: list[tuple[Symbol, Term]] = field(default_factory=list)
     renaming: dict[Symbol, Term] = field(default_factory=dict)
     eliminated: dict[Symbol, Term] = field(default_factory=dict)
     evars: list[Symbol] = field(default_factory=list)
@@ -60,7 +58,7 @@ def flatten(problem) -> PreprocessedInput:
         got = yshare.get(t.id)
         if got is None:
             y = mk_symbol(ypool.fresh(), 0, "defined")
-            pre.initial_delta.entries.append((y, t))
+            pre.initial_delta.append((y, t))
             got = yshare[t.id] = const(y)
         return got
 
@@ -79,15 +77,15 @@ def flatten(problem) -> PreprocessedInput:
             work.append(Eq(app, got))
         return got
 
-    for lit in problem.body.literals:
+    for lit in problem.body:
         if lit.lhs is lit.rhs:
             if isinstance(lit, Ne):
                 pre.falsified = True
                 return pre
             continue
         if lit_is_efree(lit):
-            if lit not in pre.passthrough.literals:
-                pre.passthrough.literals.append(lit)
+            if lit not in pre.passthrough:
+                pre.passthrough.append(lit)
             continue
         a = atom_of(lit.lhs)
         b = atom_of(lit.rhs)
@@ -124,8 +122,8 @@ def flatten(problem) -> PreprocessedInput:
                 break
             if lit_is_efree(lit):
                 del work[i]
-                if lit not in pre.passthrough.literals:
-                    pre.passthrough.literals.append(lit)
+                if lit not in pre.passthrough:
+                    pre.passthrough.append(lit)
                 changed = True
                 break
             if lit in seen:
@@ -147,7 +145,7 @@ def flatten(problem) -> PreprocessedInput:
 
     # Rename surviving fresh variables densely, in first-emission order,
     # continuing the eliminate numbering and skipping taken names.
-    epool = NamePool("e", taken | {y.name for y, _ in pre.initial_delta.entries}, start=len(problem.eliminate))
+    epool = NamePool("e", taken, start=len(problem.eliminate))
     live = live_symbols(work)
     renumber: dict[Symbol, Term] = {}
     for old in introduced:
@@ -174,7 +172,7 @@ def flatten(problem) -> PreprocessedInput:
     pre.evars = sorted(live_symbols(pre.s1), key=lambda s: order[s])
     pre.taken_names = (
         set(taken)
-        | {y.name for y, _ in pre.initial_delta.entries}
+        | {y.name for y, _ in pre.initial_delta}
         | {s.name for s in pre.renaming}
     )
     return pre
@@ -193,22 +191,16 @@ def replay_check(pre: PreprocessedInput, problem) -> bool:
     """Audit flattening: both entailment directions hold under the oracle."""
     if pre.falsified:
         return True
-    body = mk_and(problem.body.literals)
-    # y bodies may mention earlier y's, so definitions resolve recursively.
-    memo: dict = {}
-
-    def original(t: Term) -> Term:
-        return sigma_delta_apply(pre.initial_delta, term_substitute(t, pre.renaming), memo)
-
-    forward_target = []
-    for lit in list(pre.passthrough.literals) + list(pre.s1):
-        forward_target.append(type(lit)(original(lit.lhs), original(lit.rhs)))
+    body = mk_and(problem.body)
+    # Renaming values are y-free input terms and no y body mentions a renamed
+    # variable, so the renaming reads as definitions ahead of the y's.
+    forward_target = unravel([*pre.renaming.items(), *pre.initial_delta], pre.passthrough + pre.s1)
     ok, _ = euf_valid(body, mk_and(forward_target))
     if not ok:
         return False
 
-    back_hyp = list(pre.passthrough.literals) + list(pre.s1)
-    back_hyp += [Eq(const(y), t) for y, t in pre.initial_delta.entries]
+    back_hyp = pre.passthrough + pre.s1
+    back_hyp += [Eq(const(y), t) for y, t in pre.initial_delta]
     back_hyp += [Eq(const(sym), w) for sym, w in pre.eliminated.items()]
     ok, _ = euf_valid(mk_and(back_hyp), body)
     return ok

@@ -8,6 +8,7 @@ and are discarded, so each surviving branch contributes (delta, phi).
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from .errors import Budget
@@ -15,9 +16,8 @@ from .euf import cc_sat
 from .formulas import mk_and, mk_or, wrap_definitions
 from .parse import format_formula
 from .terms import (
-    Constraint,
-    DagDefinition,
     Eq,
+    NamePool,
     Ne,
     compatible,
     const,
@@ -28,14 +28,14 @@ from .terms import (
     orient,
     term_is_efree,
 )
-from .terms import unravel as unravel_constraint
+from .terms import unravel as unravel_literals
 
 RULE_NAMES = ("1.0", "1.i", "1.ii", "2", "3", "4")
 
 
 @dataclass
 class Disjunct:
-    delta: DagDefinition
+    delta: list
     phi: list
     _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -43,11 +43,9 @@ class Disjunct:
         """The conjunction under its definitions, built once per unravel flag."""
         if unravel not in self._built:
             if unravel:
-                flat = unravel_constraint(self.delta, Constraint(list(self.phi)))
-                self._built[True] = mk_and(flat.literals)
+                self._built[True] = mk_and(unravel_literals(self.delta, self.phi))
             else:
-                body = mk_and(self.phi)
-                self._built[False] = wrap_definitions(self.delta.entries, body)
+                self._built[False] = wrap_definitions(self.delta, mk_and(self.phi))
         return self._built[unravel]
 
 
@@ -65,16 +63,16 @@ class UiResultDnf:
 
 
 class _State:
-    __slots__ = ("delta", "psi", "phi", "ynext")
+    __slots__ = ("delta", "psi", "phi", "ynames")
 
-    def __init__(self, delta, psi, phi, ynext):
+    def __init__(self, delta, psi, phi, ynames):
         self.delta = delta
         self.psi = psi
         self.phi = phi
-        self.ynext = ynext
+        self.ynames = ynames
 
     def copy(self) -> "_State":
-        return _State(self.delta.copy(), list(self.psi), list(self.phi), self.ynext)
+        return _State(list(self.delta), list(self.psi), list(self.phi), copy.copy(self.ynames))
 
 
 def _pairs(n: int, forward: bool):
@@ -109,18 +107,10 @@ def compute_tableaux_ui(
     if prune not in ("syntactic", "semantic"):
         raise ValueError(f"unknown prune mode {prune}")
     forward = strategy == "default"
-    taken = frozenset(pre.taken_names)
 
     stats = {"branches_explored": 0, "rule4_firings": 0, "rule_apps": dict.fromkeys(RULE_NAMES, 0)}
     if pre.falsified:
         return UiResultDnf([], stats)
-
-    def fresh_y(state: _State):
-        k = state.ynext
-        while f"y{k}" in taken:
-            k += 1
-        state.ynext = k + 1
-        return mk_symbol(f"y{k}", 0, "defined")
 
     def find_redex(state: _State):
         psi = state.psi
@@ -181,8 +171,8 @@ def compute_tableaux_ui(
                 evar, body = lit.lhs.head, lit.rhs
             else:
                 evar, body = lit.rhs.head, lit.lhs
-            y = fresh_y(state)
-            state.delta.entries.append((y, body))
+            y = mk_symbol(state.ynames.fresh(), 0, "defined")
+            state.delta.append((y, body))
             mapping = {evar: const(y)}
             psi[:] = [lit_substitute(l, mapping) for l in psi]
         else:  # rule 3
@@ -213,11 +203,11 @@ def compute_tableaux_ui(
     def keep(state: _State) -> bool:
         if prune != "semantic":
             return True
-        flat = unravel_constraint(state.delta, Constraint(list(state.phi)))
-        return cc_sat(flat.literals)
+        return cc_sat(unravel_literals(state.delta, state.phi))
 
     disjuncts: list[Disjunct] = []
-    stack = [_State(pre.initial_delta.copy(), list(pre.s1), list(pre.passthrough.literals), 1)]
+    stack = [_State(list(pre.initial_delta), list(pre.s1), list(pre.passthrough),
+                    NamePool("y", pre.taken_names, 1))]
     ticks = 0
     while stack:
         budget.check_time(stats)

@@ -1,4 +1,4 @@
-"""Interned term DAG, ground literals, constraints and DAG-definitions.
+"""Interned term DAG, ground literals, and `resolve`, which expands definitions.
 
 Terms are hash-consed into a table on their head symbol, so structural
 equality is identity and a term lives exactly as long as the symbols of
@@ -172,63 +172,27 @@ def lit_substitute(lit, mapping: dict[Symbol, Term], memo: dict | None = None):
 
 
 # ---------------------------------------------------------------------------
+# DAG-definitions: an ordered list of (y, body) pairs, each body over earlier
+# y's and parameters.
 
 
-@dataclass
-class DagDefinition:
-    """Ordered explicit definitions y_i = body over y_1..y_{i-1} and parameters."""
-
-    entries: list[tuple[Symbol, Term]] = field(default_factory=list)
-
-    def copy(self) -> "DagDefinition":
-        return DagDefinition(list(self.entries))
-
-
-def sigma_delta_apply(delta: DagDefinition, t: Term, memo: dict | None = None) -> Term:
-    """Recursively substitute every defined variable by its body."""
-    defs = {y: body for y, body in delta.entries}
-    if memo is None:
-        memo = {}
-
-    def go(u: Term) -> Term:
-        r = memo.get(u.id)
-        if r is not None:
-            return r
-        if not u.args:
-            if u.head.kind == "defined":
-                body = defs.get(u.head)
-                if body is None:
-                    raise KeyError(f"defined variable {u.head.name} has no entry")
-                r = go(body)
-            else:
-                r = u
-        else:
-            r = intern(u.head, tuple(go(a) for a in u.args))
-        memo[u.id] = r
-        return r
-
-    return go(t)
-
-
-@dataclass
-class Constraint:
-    """A conjunction of literals; falsified denotes bottom."""
-
-    literals: list = field(default_factory=list)
-    falsified: bool = False
-
-
-def unravel(delta: DagDefinition, phi: Constraint) -> Constraint:
-    """Substitute delta through every literal of phi; result mentions no defined variable."""
-    if phi.falsified:
-        return Constraint([], True)
+def resolve(entries) -> dict[Symbol, Term]:
+    """Each defined symbol mapped to its body with earlier definitions substituted."""
+    mapping: dict[Symbol, Term] = {}
     memo: dict = {}
-    out = []
-    for lit in phi.literals:
-        lhs = sigma_delta_apply(delta, lit.lhs, memo)
-        rhs = sigma_delta_apply(delta, lit.rhs, memo)
-        out.append(type(lit)(lhs, rhs))
-    return Constraint(out)
+    for y, body in entries:
+        mapping[y] = term_substitute(body, mapping, memo)
+    return mapping
+
+
+def unravel(entries, literals) -> list:
+    """The literals with every defined symbol expanded; sides keep their order."""
+    mapping = resolve(entries)
+    memo: dict = {}
+    return [
+        type(lit)(term_substitute(lit.lhs, mapping, memo), term_substitute(lit.rhs, mapping, memo))
+        for lit in literals
+    ]
 
 
 def compatible(t: Term, u: Term):
@@ -254,11 +218,11 @@ def compatible(t: Term, u: Term):
 
 
 class NamePool:
-    """Deterministic fresh-name source: base<i>, skipping taken names."""
+    """Deterministic fresh-name source: base<i> for a rising i, skipping taken names."""
 
     def __init__(self, base: str, taken, start: int = 0):
         self.base = base
-        self.taken = set(taken)
+        self.taken = taken
         self.next_index = start
 
     def fresh(self) -> str:
@@ -266,5 +230,4 @@ class NamePool:
             name = f"{self.base}{self.next_index}"
             self.next_index += 1
             if name not in self.taken:
-                self.taken.add(name)
                 return name

@@ -8,7 +8,7 @@ import pytest
 
 from eufui import errors, terms
 from eufui.parse import Problem
-from eufui.terms import Constraint, Eq, Ne, const, intern, mk_symbol
+from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ def random_problem(rng: random.Random, max_funs=3, max_params=5, max_evars=3, ma
         lhs, rhs = term(max_depth), term(max_depth)
         lits.append(Ne(lhs, rhs) if rng.random() < 0.2 else Eq(lhs, rhs))
     symbols = {s.name: s for s in funs + params + evars}
-    return Problem("U", funs, params, evars, Constraint(lits), symbols)
+    return Problem("U", funs, params, evars, lits, symbols)
 
 
 def doubling_chain(n):

@@ -29,7 +29,7 @@ from eufui.formulas import fsize, mk_and
 from eufui.parse import Problem, parse
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
-from eufui.terms import Constraint, Eq, Ne, const, intern, mk_symbol
+from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
 # Randomized-corpus shape: at most 3 binary-or-unary function symbols,
 # 4 eliminated variables, 5 parameters, 8 literals. Instances whose
@@ -73,7 +73,7 @@ def corpus():
             continue
         tab = compute_tableaux_ui(pre)
         rev = compute_tableaux_ui(pre, strategy="reversed")
-        inp = mk_and(problem.body.literals)
+        inp = mk_and(problem.body)
         rows.append((inp, tab, rev, cond))
     return {"rows": rows, "build_seconds": time.monotonic() - started}
 
@@ -204,7 +204,7 @@ def random_unary_problem(rng):
         lhs, rhs = term(3), term(3)
         lits.append(Ne(lhs, rhs) if rng.random() < 0.2 else Eq(lhs, rhs))
     symbols = {s.name: s for s in funs + params + evars}
-    return Problem("U", funs, params, evars, Constraint(lits), symbols)
+    return Problem("U", funs, params, evars, lits, symbols)
 
 
 def test_criterion_09_all_unary_fast_path():
@@ -219,7 +219,7 @@ def test_criterion_09_all_unary_fast_path():
         tab = compute_tableaux_ui(pre)
         assert tab.stats["rule4_firings"] == 0
         assert tab.stats["branches_explored"] == 1
-        n = max(1, len(pre.s1) + len(pre.passthrough.literals))
+        n = max(1, len(pre.s1) + len(pre.passthrough))
         apps = sum(tab.stats["rule_apps"].values())
         assert apps <= UNARY_APPS_COEFF * n * n, (apps, n)
 
@@ -241,7 +241,7 @@ def test_criterion_12_compression(tmp_path, capsys):
         pre = flatten(parse(doubling_chain(n)))
         cond = compute_conditional_ui(pre)
         tab = compute_tableaux_ui(pre)
-        entries = len(pre.initial_delta.entries) + sum(
+        entries = len(pre.initial_delta) + sum(
             len(phi.entries) for phi in cond.phis
         )
         assert entries == n

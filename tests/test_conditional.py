@@ -372,7 +372,7 @@ def test_random_corpus_residue_and_cross_algorithm_agreement():
                     u = stack.pop()
                     assert u.head.kind not in ("quantified", "defined")
                     stack.extend(u.args)
-        inp = mk_and(problem.body.literals)
+        inp = mk_and(problem.body)
         ok, cube = euf_valid(inp, ui)
         assert ok, (cube, format_formula(ui))
         tab = compute_tableaux_ui(pre).formula(unravel=True)

@@ -156,11 +156,20 @@ def test_euf_valid_budget_cap():
         euf_valid(big, goal, budget=Budget(max_cubes=3))
 
 
-def test_euf_valid_checks_deadline_per_cube(counting_clock):
+def test_euf_valid_checks_deadline_before_search(counting_clock):
     big, goal = many_cube_query()
     with pytest.raises(ResourceLimitError, match="timeout exceeded") as exc:
-        euf_valid(big, goal, budget=Budget(deadline=2.0))
-    assert counting_clock.reads == 3
+        euf_valid(big, goal, budget=Budget(deadline=0.5))
+    assert counting_clock.reads == 1
+    assert exc.value.stats == {"cubes_spent": 0}
+
+
+def test_euf_valid_checks_deadline_per_cube(counting_clock):
+    # Four reads come before the search: one ahead of each let-expansion and NNF pass.
+    big, goal = many_cube_query()
+    with pytest.raises(ResourceLimitError, match="timeout exceeded") as exc:
+        euf_valid(big, goal, budget=Budget(deadline=6.0))
+    assert counting_clock.reads == 7
     assert exc.value.stats == {"cubes_spent": 3}
 
 

@@ -34,8 +34,8 @@ def test_parse_example_problem():
     assert p.sort == "U"
     assert [s.name for s in p.eliminate] == ["e"]
     assert [s.name for s in p.parameters] == ["z1", "z2", "z3", "z4"]
-    assert len(p.body.literals) == 2
-    lit = p.body.literals[0]
+    assert len(p.body) == 2
+    lit = p.body[0]
     assert isinstance(lit, Eq) and lit.lhs.head.name == "f"
     assert p.symbols["e"].kind == "quantified"
     assert p.symbols["z1"].kind == "parameter"
@@ -43,7 +43,7 @@ def test_parse_example_problem():
 
 def test_parse_empty_assertions():
     p = parse("(declare-sort U 0)(declare-const z U)(eliminate)")
-    assert p.body.literals == []
+    assert p.body == []
     assert p.eliminate == []
 
 
@@ -52,7 +52,7 @@ def test_parse_distinct_expands_pairwise():
         "(declare-sort U 0)(declare-const a U)(declare-const b U)(declare-const c U)"
         "(eliminate)(assert (distinct a b c))"
     )
-    assert [type(l) for l in p.body.literals] == [Ne, Ne, Ne]
+    assert [type(l) for l in p.body] == [Ne, Ne, Ne]
 
 
 def test_parse_error_positions():

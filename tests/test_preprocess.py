@@ -69,8 +69,8 @@ def fmt(lits):
 def test_flatten_already_flat_passes_through():
     pre = flatten(parse(EX22))
     assert fmt(pre.s1) == ["(= (f e z1) z2)", "(= (f e z3) z4)"]
-    assert pre.passthrough.literals == []
-    assert pre.initial_delta.entries == []
+    assert pre.passthrough == []
+    assert pre.initial_delta == []
     assert [s.name for s in pre.evars] == ["e"]
     assert not pre.falsified
 
@@ -108,8 +108,8 @@ def test_flatten_efree_compound_gets_definition():
         "(declare-const e U)(declare-const z1 U)(declare-const z2 U)(declare-const z3 U)"
         "(eliminate e)(assert (= (g e (f z1 z2)) z3))"
     ))
-    assert len(pre.initial_delta.entries) == 1
-    y, body = pre.initial_delta.entries[0]
+    assert len(pre.initial_delta) == 1
+    y, body = pre.initial_delta[0]
     assert y.name == "y1" and y.kind == "defined"
     assert format_term(body) == "(f z1 z2)"
     assert fmt(pre.s1) == ["(= (g e y1) z3)"]
@@ -122,7 +122,7 @@ def test_flatten_quantified_equality_eliminated():
         "(eliminate e)(assert (= e z1))(assert (= (f e z2) z3))"
     ))
     assert pre.s1 == []
-    assert fmt(pre.passthrough.literals) == ["(= (f z1 z2) z3)"]
+    assert fmt(pre.passthrough) == ["(= (f z1 z2) z3)"]
     witnesses = {s.name: w.head.name for s, w in pre.eliminated.items()}
     assert witnesses["e"] == "z1"
     assert pre.evars == []
@@ -141,10 +141,10 @@ def test_flatten_efree_application_becomes_definition(asserts):
         "(eliminate e0 e)" + asserts
     ))
     assert pre.s1 == [] and pre.evars == []
-    assert [(y.name, format_term(t)) for y, t in pre.initial_delta.entries] == [("y1", "(f z1 z2)")]
-    assert fmt(pre.passthrough.literals) == ["(= (g y1) z3)"]
+    assert [(y.name, format_term(t)) for y, t in pre.initial_delta] == [("y1", "(f z1 z2)")]
+    assert fmt(pre.passthrough) == ["(= (g y1) z3)"]
     witnesses = {s.name: w for s, w in pre.eliminated.items()}
-    assert witnesses["e"] is const(pre.initial_delta.entries[0][0])
+    assert witnesses["e"] is const(pre.initial_delta[0][0])
 
 
 def test_flatten_definition_chain_collapses_in_order():
@@ -152,7 +152,7 @@ def test_flatten_definition_chain_collapses_in_order():
     # e-free by then and goes to the passthrough without a y of its own.
     pre = flatten(parse(doubling_chain(6)))
     assert pre.s1 == [] and pre.evars == []
-    assert [(y.name, format_term(t)) for y, t in pre.initial_delta.entries] == [
+    assert [(y.name, format_term(t)) for y, t in pre.initial_delta] == [
         ("y1", "(f1 z z)"),
         ("y2", "(f2 y1 y1)"),
         ("y3", "(f3 y2 y2)"),
@@ -160,7 +160,7 @@ def test_flatten_definition_chain_collapses_in_order():
         ("y5", "(f5 y4 y4)"),
         ("y6", "(f6 y5 y5)"),
     ]
-    assert fmt(pre.passthrough.literals) == ["(= (h y6) z0)"]
+    assert fmt(pre.passthrough) == ["(= (h y6) z0)"]
 
 
 def test_flatten_row58_leaves_no_eliminated_variables():
@@ -180,7 +180,7 @@ def test_flatten_trivial_and_falsified():
         "(declare-sort U 0)(declare-const e U)(declare-const z U)"
         "(eliminate e)(assert (= e e))"
     ))
-    assert pre.s1 == [] and pre.passthrough.literals == [] and not pre.falsified
+    assert pre.s1 == [] and pre.passthrough == [] and not pre.falsified
 
     pre = flatten(parse(
         "(declare-sort U 0)(declare-const e U)(declare-const z U)"
@@ -201,7 +201,7 @@ def test_flatten_passthrough_dedup():
         "(declare-sort U 0)(declare-fun f (U) U)(declare-const e U)(declare-const z U)"
         "(eliminate e)(assert (= (f z) z))(assert (= (f z) z))(assert (= (f e) z))"
     ))
-    assert len(pre.passthrough.literals) == 1
+    assert len(pre.passthrough) == 1
     assert fmt(pre.s1) == ["(= (f e) z)"]
 
 
@@ -233,7 +233,7 @@ def test_flatten_deterministic():
     b = flatten(parse(EX39))
     assert fmt(a.s1) == fmt(b.s1)
     assert [s.name for s in a.evars] == [s.name for s in b.evars]
-    assert [y.name for y, _ in a.initial_delta.entries] == [y.name for y, _ in b.initial_delta.entries]
+    assert [y.name for y, _ in a.initial_delta] == [y.name for y, _ in b.initial_delta]
 
 
 def test_flatten_avoids_declared_names():
@@ -243,7 +243,7 @@ def test_flatten_avoids_declared_names():
         "(declare-const e U)(declare-const y1 U)(declare-const z U)"
         "(eliminate e)(assert (= (g e (f y1 z)) z))"
     ))
-    y, _ = pre.initial_delta.entries[0]
+    y, _ = pre.initial_delta[0]
     assert y.name == "y2"
     # and a parameter named e1 must not collide with renumbered variables
     pre = flatten(parse(

@@ -91,6 +91,33 @@ def test_semantic_prune_keeps_equivalence():
     assert len(ui.disjuncts) <= len(plain.disjuncts)
 
 
+# Reference-corpus instance 128 (seed 20260823), renamed: its one open branch
+# keeps f(z) = z and y1 != z under y1 := f(z), inconsistent once unravelled.
+CORPUS128 = """
+(declare-sort U 0)
+(declare-fun f (U) U)
+(declare-const z U)
+(declare-const e U)
+(eliminate e)
+(assert (= (f e) (f z)))
+(assert (not (= (f (f z)) e)))
+(assert (= (f e) e))
+(assert (= (f z) z))
+(assert (= z (f z)))
+(assert (not (= z (f e))))
+(assert (= (f (f e)) (f e)))
+(compute-ui)
+"""
+
+
+def test_semantic_prune_drops_inconsistent_branch():
+    _, plain = run_text(CORPUS128)
+    assert len(plain.disjuncts) == 1
+    _, pruned = run_text(CORPUS128, prune="semantic")
+    assert pruned.disjuncts == []
+    assert pruned.formula() is FALSE
+
+
 def test_disjunct_formulas_built_once(monkeypatch):
     calls = []
 
@@ -175,7 +202,7 @@ def test_disjuncts_mention_only_retained_symbols():
                 for t in (lit.lhs, lit.rhs):
                     assert term_is_efree(t)
                     assert all(s.kind != "quantified" for s in term_symbols(t))
-            for _, body in d.delta.entries:
+            for _, body in d.delta:
                 assert term_is_efree(body)
 
 
@@ -183,11 +210,11 @@ def test_residue_on_random_corpus():
     rng = random.Random(99)
     for _ in range(30):
         problem = random_problem(rng)
-        if not problem.body.literals:
+        if not problem.body:
             continue
         from eufui.formulas import mk_and
 
-        body = mk_and(problem.body.literals)
+        body = mk_and(problem.body)
         ui = compute_tableaux_ui(flatten(problem))
         ok, witness = euf_valid(body, ui.formula())
         assert ok, witness

@@ -11,8 +11,6 @@ from eufui.euf import euf_valid
 from eufui.formulas import mk_and, sub_formula
 from eufui.parse import parse
 from eufui.terms import (
-    Constraint,
-    DagDefinition,
     Eq,
     Ne,
     compatible,
@@ -21,7 +19,8 @@ from eufui.terms import (
     lit_substitute,
     mk_symbol,
     orient,
-    sigma_delta_apply,
+    resolve,
+    term_substitute,
     term_tree_size,
     unravel,
 )
@@ -67,13 +66,11 @@ def test_sigma_delta_examples():
     y1 = mk_symbol("y1", 0, "defined")
     y2 = mk_symbol("y2", 0, "defined")
     fzz = intern(f, (z, z))
-    d1 = DagDefinition([(y1, fzz)])
-    assert sigma_delta_apply(d1, intern(g, (const(y1),))) is intern(g, (fzz,))
-    d2 = DagDefinition([(y1, fzz), (y2, intern(f, (const(y1), const(y1))))])
-    assert sigma_delta_apply(d2, const(y2)) is intern(f, (fzz, fzz))
-    assert sigma_delta_apply(DagDefinition([]), fzz) is fzz
-    with pytest.raises(KeyError):
-        sigma_delta_apply(d1, const(y2))
+    d1 = resolve([(y1, fzz)])
+    assert term_substitute(intern(g, (const(y1),)), d1) is intern(g, (fzz,))
+    d2 = resolve([(y1, fzz), (y2, intern(f, (const(y1), const(y1))))])
+    assert term_substitute(const(y2), d2) is intern(f, (fzz, fzz))
+    assert term_substitute(fzz, resolve([])) is fzz
 
 
 def test_sigma_delta_idempotent_on_output():
@@ -81,9 +78,9 @@ def test_sigma_delta_idempotent_on_output():
     f = s.fn("f", 2)
     z = s.params("z")[0]
     y1 = mk_symbol("y1", 0, "defined")
-    d = DagDefinition([(y1, intern(f, (z, z)))])
-    out = sigma_delta_apply(d, intern(f, (const(y1), z)))
-    assert sigma_delta_apply(d, out) is out
+    d = resolve([(y1, intern(f, (z, z)))])
+    out = term_substitute(intern(f, (const(y1), z)), d)
+    assert term_substitute(out, d) is out
 
 
 def test_unravel_examples():
@@ -92,12 +89,11 @@ def test_unravel_examples():
     z0, z3 = s.params("z0", "z3")
     y1 = mk_symbol("y1", 0, "defined")
     y2 = mk_symbol("y2", 0, "defined")
-    d = DagDefinition([(y1, z3), (y2, const(y1))])
-    phi = Constraint([Eq(intern(h, (const(y2),)), z0)])
-    out = unravel(d, phi)
-    assert out.literals == [Eq(intern(h, (z3,)), z0)]
-    empty = unravel(DagDefinition([]), Constraint([Ne(z0, z3)]))
-    assert empty.literals == [Ne(z0, z3)]
+    d = [(y1, z3), (y2, const(y1))]
+    assert unravel(d, [Eq(intern(h, (const(y2),)), z0)]) == [Eq(intern(h, (z3,)), z0)]
+    assert unravel([], [Ne(z0, z3)]) == [Ne(z0, z3)]
+    # sides keep their order even when both become 0-ary
+    assert unravel([(y1, z0)], [Ne(const(y1), z3)]) == [Ne(z0, z3)]
 
 
 def test_unravel_matches_exists_semantics():
@@ -106,17 +102,15 @@ def test_unravel_matches_exists_semantics():
     z = s.params("z")[0]
     y1 = mk_symbol("y1", 0, "defined")
     y2 = mk_symbol("y2", 0, "defined")
-    d = DagDefinition([(y1, intern(f, (z, z))), (y2, intern(f, (const(y1), const(y1))))])
-    phi = Constraint([Eq(const(y2), z)])
-    defs = mk_and([Eq(const(yv), body) for yv, body in d.entries])
+    d = [(y1, intern(f, (z, z))), (y2, intern(f, (const(y1), const(y1))))]
+    defs = mk_and([Eq(const(yv), body) for yv, body in d])
     quantified_form = mk_and([defs, Eq(const(y2), z)])
-    flat_form = mk_and(list(unravel(d, phi).literals))
+    flat_form = mk_and(unravel(d, [Eq(const(y2), z)]))
     # forward: the definitions entail the unravelled body
     ok, _ = euf_valid(quantified_form, flat_form)
     assert ok
     # backward: substituting the definitional witnesses for the y's
-    witness_subst = {y1: sigma_delta_apply(d, const(y1)), y2: sigma_delta_apply(d, const(y2))}
-    ok, _ = euf_valid(flat_form, sub_formula(quantified_form, witness_subst))
+    ok, _ = euf_valid(flat_form, sub_formula(quantified_form, resolve(d)))
     assert ok
 
 
@@ -159,8 +153,7 @@ def test_doubling_chain_compression():
         y = mk_symbol(f"y{i}", 0, "defined")
         entries.append((y, intern(f, (prev, prev))))
         prev = const(y)
-    d = DagDefinition(entries)
-    out = sigma_delta_apply(d, prev)
+    out = term_substitute(prev, resolve(entries))
     assert term_tree_size(out) == 2 ** 11 - 1
-    assert len(d.entries) == 10
+    assert len(entries) == 10
 
