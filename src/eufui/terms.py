@@ -173,7 +173,7 @@ def lit_substitute(lit, mapping: dict[Symbol, Term], memo: dict | None = None):
 
 # ---------------------------------------------------------------------------
 # DAG-definitions: an ordered list of (y, body) pairs, each body over earlier
-# y's and parameters.
+# y's and parameters. No body mentions a later y, so one memo serves them all.
 
 
 def resolve(entries) -> dict[Symbol, Term]:
