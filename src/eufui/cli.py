@@ -54,15 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str) -> bytes:
+    """Raw bytes of the file or stdin; parse decodes them."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"not valid UTF-8: {exc}") from None
+        return fh.read()
 
 
 def _ui_sizes(result, unravel: bool) -> dict:

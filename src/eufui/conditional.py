@@ -163,7 +163,7 @@ def _subsumes(d: HornClause, c: HornClause) -> bool:
 
 
 def step2(clauses, budget: Budget = Budget(), order: str = "fifo", stats: dict | None = None):
-    """Given-clause saturation under quantified-variable rewriting.
+    """Given-clause saturation under quantified-variable rewriting; returns the saturated list.
 
     `clauses_created` in stats counts the input clauses and every inferred
     one against the clause cap.
@@ -196,7 +196,7 @@ def step2(clauses, budget: Budget = Budget(), order: str = "fifo", stats: dict |
             seen.add(c)
             budget.count(stats, "clauses_created")
             queue.append(c)
-    return processed, stats["clauses_created"]
+    return processed
 
 
 # --- conditional definition chains -----------------------------------------
@@ -316,7 +316,7 @@ class PhiDelta:
                      for a in e.clause.antecedent]
                 )
                 bound = self.placeholders[e.var]
-                body = mk_implies(gamma, Let(bound, term_substitute(e.body, wmap), body))
+                body = mk_implies(gamma, Let(((bound, term_substitute(e.body, wmap)),), body))
             return body
         # An entry's antecedent mentions only earlier placeholders, so the
         # whole chain's map gives the same atoms as its prefix would.
@@ -361,7 +361,7 @@ def compute_conditional_ui(pre, budget: Budget = Budget(), order: str = "fifo") 
 
     s2 = step1(pre)
     stats["s2_size"] = len(s2)
-    s3, _ = step2(s2, budget, order, stats)
+    s3 = step2(s2, budget, order, stats)
     stats["s3_size"] = len(s3)
 
     phis = []

@@ -1,9 +1,9 @@
 """Quantifier-free formula nodes over interned terms, with let bindings.
 
-Let nodes carry one binding each and nest; they are the compressed
-(DAG-shaped) output form. expand_lets substitutes them away, which can
-grow the formula exponentially (that blow-up is the point of keeping
-them).
+A Let node carries an ordered list of (y, body) definitions, the same shape
+as `pre.initial_delta`; lets are the compressed (DAG-shaped) output form.
+expand_lets substitutes them away in one pass, which can grow the formula
+exponentially (that blow-up is the point of keeping them).
 """
 from __future__ import annotations
 
@@ -49,10 +49,12 @@ class Implies:
 
 @dataclass(frozen=True)
 class Let:
-    """let var = val in body (one binding; nest for sequences)."""
+    """let y1 = t1; ...; yn = tn in body, each t_i over earlier bindings.
 
-    var: Symbol
-    val: Term
+    `bindings` is a tuple of (Symbol, Term) pairs, bound in order.
+    """
+
+    bindings: tuple
     body: object
 
 
@@ -115,42 +117,32 @@ def mk_ne(lhs: Term, rhs: Term) -> Formula:
     return FALSE if lhs is rhs else Ne(lhs, rhs)
 
 
-def sub_formula(f: Formula, mapping: dict[Symbol, Term], memo: dict | None = None) -> Formula:
-    """Substitute 0-ary symbols inside every atom; lets are left alone upstream."""
-    if memo is None:
-        memo = {}
-    if isinstance(f, Eq):
-        return mk_eq(term_substitute(f.lhs, mapping, memo), term_substitute(f.rhs, mapping, memo))
-    if isinstance(f, Ne):
-        return mk_ne(term_substitute(f.lhs, mapping, memo), term_substitute(f.rhs, mapping, memo))
-    if isinstance(f, And):
-        return mk_and([sub_formula(p, mapping, memo) for p in f.parts])
-    if isinstance(f, Or):
-        return mk_or([sub_formula(p, mapping, memo) for p in f.parts])
-    if isinstance(f, Not):
-        return Not(sub_formula(f.body, mapping, memo))
-    if isinstance(f, Implies):
-        return mk_implies(sub_formula(f.lhs, mapping, memo), sub_formula(f.rhs, mapping, memo))
-    if isinstance(f, Let):
-        # A let binding shadows any outer mapping of the same symbol.
-        val = term_substitute(f.val, mapping, memo)
-        inner = {k: v for k, v in mapping.items() if k is not f.var}
-        return Let(f.var, val, sub_formula(f.body, inner))
-    return f
-
-
 def expand_lets(f: Formula) -> Formula:
+    """f with every let substituted away; atoms outside every let come back as they are."""
+    return _expand(f, {}, {})
+
+
+def _expand(f: Formula, env: dict[Symbol, Term], memo: dict) -> Formula:
     if isinstance(f, Let):
-        body = expand_lets(f.body)
-        return sub_formula(body, {f.var: f.val})
+        # A binding may rebind a symbol that terms were already substituted
+        # under, so each value and the body get a fresh memo.
+        env = dict(env)
+        for y, t in f.bindings:
+            env[y] = term_substitute(t, env)
+        return _expand(f.body, env, {})
+    if isinstance(f, (Eq, Ne)):
+        if not env:
+            return f
+        mk = mk_eq if isinstance(f, Eq) else mk_ne
+        return mk(term_substitute(f.lhs, env, memo), term_substitute(f.rhs, env, memo))
     if isinstance(f, And):
-        return mk_and([expand_lets(p) for p in f.parts])
+        return mk_and([_expand(p, env, memo) for p in f.parts])
     if isinstance(f, Or):
-        return mk_or([expand_lets(p) for p in f.parts])
+        return mk_or([_expand(p, env, memo) for p in f.parts])
     if isinstance(f, Not):
-        return Not(expand_lets(f.body))
+        return Not(_expand(f.body, env, memo))
     if isinstance(f, Implies):
-        return mk_implies(expand_lets(f.lhs), expand_lets(f.rhs))
+        return mk_implies(_expand(f.lhs, env, memo), _expand(f.rhs, env, memo))
     return f
 
 
@@ -196,7 +188,7 @@ def fsize(f: Formula, tmemo: dict | None = None) -> int:
     if isinstance(f, Implies):
         return 1 + fsize(f.lhs, tmemo) + fsize(f.rhs, tmemo)
     if isinstance(f, Let):
-        return 1 + term_tree_size(f.val, tmemo) + fsize(f.body, tmemo)
+        return sum(1 + term_tree_size(t, tmemo) for _, t in f.bindings) + fsize(f.body, tmemo)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -238,7 +230,8 @@ def formula_symbols(f: Formula) -> set[Symbol]:
             go(g.lhs)
             go(g.rhs)
         elif isinstance(g, Let):
-            out.update(term_symbols(g.val))
+            for _, t in g.bindings:
+                out.update(term_symbols(t))
             go(g.body)
 
     go(f)
@@ -246,14 +239,10 @@ def formula_symbols(f: Formula) -> set[Symbol]:
 
 
 def wrap_definitions(entries, body: Formula) -> Formula:
-    """Wrap body in let bindings for the definitions it actually reaches."""
+    """One let over body holding, in list order, the definitions it actually reaches."""
     syms = formula_symbols(body)
-    needed = set()
     for y, t in reversed(entries):
         if y in syms:
-            needed.add(y)
             syms |= term_symbols(t)
-    for y, t in reversed(entries):
-        if y in needed:
-            body = Let(y, t, body)
-    return body
+    bindings = tuple((y, t) for y, t in entries if y in syms)
+    return Let(bindings, body) if bindings else body

@@ -370,7 +370,9 @@ def format_formula(f) -> str:
     if isinstance(f, Implies):
         return f"(=> {format_formula(f.lhs)} {format_formula(f.rhs)})"
     if isinstance(f, Let):
-        return f"(let (({f.var.name} {format_term(f.val)})) {format_formula(f.body)})"
+        # Nested single-binding lets: one SMT-LIB let binds in parallel.
+        opens = "".join(f"(let (({y.name} {format_term(t)})) " for y, t in f.bindings)
+        return opens + format_formula(f.body) + ")" * len(f.bindings)
     if f is TRUE or isinstance(f, type(TRUE)):
         return "true"
     if f is FALSE or isinstance(f, type(FALSE)):

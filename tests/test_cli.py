@@ -88,7 +88,7 @@ def test_residue_verification_passes(tmp_path, capsys):
 
 
 def test_stdin_is_the_default_input(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(EX22))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(EX22.encode())))
     code, out, _ = run_cli(capsys, [])
     assert code == 0
     assert_equiv(out.strip(), EX22, EX22_TARGET)
@@ -128,6 +128,16 @@ def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, [str(tmp_path / "absent.smt")])
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_invalid_utf8_on_stdin_exits_2(capsys, monkeypatch):
+    data = b"(declare-sort U 0)\xff"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run_cli(capsys, [])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not valid UTF-8")
+    assert "Traceback" not in err
 
 
 def test_malformed_input_reports_position(tmp_path, capsys):
@@ -273,6 +283,15 @@ def test_linear_definition_chain_needs_no_saturation(tmp_path, capsys):
     assert code == 0
     assert out.count("(let ((y") == 100
     assert " s3_size=0 " in err
+
+
+def test_long_definition_chain_under_tableaux(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, ["--algorithm", "tableaux", write(tmp_path, linear_chain(500))]
+    )
+    assert code == 0
+    assert out.count("(let ((y") == 500
+    assert "Traceback" not in err
 
 
 # Every demo input runs both engines to an oracle-checked agreement.

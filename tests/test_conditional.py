@@ -345,7 +345,7 @@ def test_cyclic_pair_keeps_tautological_merge():
     ]
     s2 = step1(SimpleNamespace(s1=s1))
     assert "[e4=e2]->e4=e2" in {clause_str(c) for c in s2}
-    s3, _ = step2(s2)
+    s3 = step2(s2)
     assert_merges_persist(s3)
 
 

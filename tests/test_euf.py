@@ -138,7 +138,7 @@ def test_euf_equiv_let_expansion():
     f = s.fn("f", 1)
     z = s.params("z")[0]
     y = mk_symbol("y1", 0, "defined")
-    compressed = Let(y, intern(f, (z,)), Eq(const(y), z))
+    compressed = Let(((y, intern(f, (z,))),), Eq(const(y), z))
     assert euf_equiv(compressed, Eq(intern(f, (z,)), z)) == (True, None)
 
 

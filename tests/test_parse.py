@@ -122,8 +122,7 @@ def test_format_and_reparse_formula_round_trip():
     symbols = {"f": f2, "z1": z1.head, "z2": z2.head}
     y1 = mk_symbol("y1", 0, "defined")
     formula = Let(
-        y1,
-        intern(f2, (z1, z1)),
+        ((y1, intern(f2, (z1, z1))),),
         mk_or([Implies(Eq(const(y1), z2), Ne(z1, z2)), mk_and([Eq(z1, z1)])]),
     )
     text = format_formula(formula)

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import Sig
 from eufui.euf import euf_valid
-from eufui.formulas import mk_and, sub_formula
+from eufui import formulas, terms
+from eufui.formulas import Let, expand_lets, mk_and, wrap_definitions
 from eufui.parse import parse
 from eufui.terms import (
     Eq,
@@ -110,8 +111,60 @@ def test_unravel_matches_exists_semantics():
     ok, _ = euf_valid(quantified_form, flat_form)
     assert ok
     # backward: substituting the definitional witnesses for the y's
-    ok, _ = euf_valid(flat_form, sub_formula(quantified_form, resolve(d)))
+    ok, _ = euf_valid(flat_form, expand_lets(Let(tuple(d), quantified_form)))
     assert ok
+
+
+def unary_chain(n):
+    """y1 := f(z), y_{i+1} := f(y_i) and the body y_n = z."""
+    s = Sig()
+    f = s.fn("f", 1)
+    z = s.params("z")[0]
+    entries = []
+    prev = z
+    for i in range(1, n + 1):
+        y = mk_symbol(f"y{i}", 0, "defined")
+        entries.append((y, intern(f, (prev,))))
+        prev = const(y)
+    return f, z, entries, Eq(prev, z)
+
+
+def test_expand_lets_is_one_pass(monkeypatch):
+    n = 200
+    f, z, entries, body = unary_chain(n)
+    calls = 0
+    original = terms.term_substitute
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(terms, "term_substitute", counting)
+    monkeypatch.setattr(formulas, "term_substitute", counting)
+    out = expand_lets(wrap_definitions(entries, body))
+    want = z
+    for _ in range(n):
+        want = intern(f, (want,))
+    assert out == Eq(want, z)
+    assert calls <= 4 * n
+
+
+def test_expand_lets_inner_binding_shadows_outer():
+    s = Sig()
+    f = s.fn("f", 1)
+    a, z = s.params("a", "z")
+    x = mk_symbol("x", 0, "defined")
+    inner = Let(((x, intern(f, (const(x),))),), Eq(const(x), z))
+    assert expand_lets(Let(((x, a),), inner)) == Eq(intern(f, (a,)), z)
+
+
+def test_wrap_definitions_keeps_reached_entries_in_order():
+    _, z, entries, _ = unary_chain(4)
+    y = [const(sym) for sym, _ in entries]
+    body = Eq(y[2], z)
+    assert wrap_definitions(entries, body) == Let(tuple(entries[:3]), body)
+    assert wrap_definitions(entries, Eq(z, z)) == Eq(z, z)
 
 
 def test_compatible_difference_sets():
