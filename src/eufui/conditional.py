@@ -318,16 +318,13 @@ class PhiDelta:
                 bound = self.placeholders[e.var]
                 body = mk_implies(gamma, Let(((bound, term_substitute(e.body, wmap)),), body))
             return body
-        # An entry's antecedent mentions only earlier placeholders, so the
-        # whole chain's map gives the same atoms as its prefix would.
-        sigma = resolve((e.var, e.body) for e in self.entries)
-        hyp = [
-            mk_eq(term_substitute(a.lhs, sigma), term_substitute(a.rhs, sigma))
-            for e in self.entries
-            for a in e.clause.antecedent
-        ]
-        concl = mk_and([_clause_formula(c, sigma) for c in self.core])
-        return mk_implies(mk_and(hyp), concl)
+        # An entry's antecedent mentions only earlier variables, so binding the
+        # whole chain over every guard gives the same atoms as its prefix would.
+        guards = [mk_eq(a.lhs, a.rhs) for e in self.entries for a in e.clause.antecedent]
+        concl = mk_and([_clause_formula(c, {}) for c in self.core])
+        return expand_lets(wrap_definitions(
+            [(e.var, e.body) for e in self.entries], mk_implies(mk_and(guards), concl)
+        ))
 
 
 @dataclass

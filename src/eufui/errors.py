@@ -1,4 +1,4 @@
-"""Error types with their CLI exit codes, and the run budget that raises them."""
+"""Error types and the run budget that raises them; the CLI alone maps them to exit codes."""
 from __future__ import annotations
 
 import time
@@ -8,13 +8,9 @@ from dataclasses import dataclass
 class EufUiError(Exception):
     """Base class for all errors raised by this package."""
 
-    exit_code = 1
-
 
 class InputError(EufUiError):
     """Malformed or ill-typed problem text; carries a source position."""
-
-    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.line = line
@@ -26,8 +22,6 @@ class InputError(EufUiError):
 
 class ResourceLimitError(EufUiError):
     """A configured cap was hit (branches, clauses, cubes, cdags, time)."""
-
-    exit_code = 3
 
     def __init__(self, message: str, stats: dict | None = None):
         super().__init__(message)

@@ -192,27 +192,6 @@ def fsize(f: Formula, tmemo: dict | None = None) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_atoms(f: Formula):
-    """All Eq/Ne leaves (lets expanded)."""
-    f = expand_lets(f)
-    out = []
-
-    def go(g):
-        if isinstance(g, (Eq, Ne)):
-            out.append(g)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                go(p)
-        elif isinstance(g, Not):
-            go(g.body)
-        elif isinstance(g, Implies):
-            go(g.lhs)
-            go(g.rhs)
-
-    go(f)
-    return out
-
-
 def formula_symbols(f: Formula) -> set[Symbol]:
     """Symbols of all atoms and let values, without expanding lets."""
     out: set[Symbol] = set()

@@ -353,7 +353,20 @@ def _parse_env_term(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term
 def format_term(t: Term) -> str:
     if not t.args:
         return t.head.name
-    return "(" + " ".join([t.head.name] + [format_term(a) for a in t.args]) + ")"
+    # An explicit stack of terms and text, so a deep term cannot exhaust the call stack.
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is str:
+            out.append(u)
+            continue
+        out.append("(" + u.head.name)
+        stack.append(")")
+        for a in reversed(u.args):
+            stack.append(a if a.args else a.head.name)
+            stack.append(" ")
+    return "".join(out)
 
 
 def format_formula(f) -> str:

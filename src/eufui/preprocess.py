@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .euf import euf_valid
-from .formulas import mk_and
+from .formulas import mk_and, wrap_definitions
 from .terms import (
     Eq,
     NamePool,
@@ -28,7 +28,6 @@ from .terms import (
     orient,
     term_is_efree,
     term_substitute,
-    unravel,
 )
 
 
@@ -194,8 +193,10 @@ def replay_check(pre: PreprocessedInput, problem) -> bool:
     body = mk_and(problem.body)
     # Renaming values are y-free input terms and no y body mentions a renamed
     # variable, so the renaming reads as definitions ahead of the y's.
-    forward_target = unravel([*pre.renaming.items(), *pre.initial_delta], pre.passthrough + pre.s1)
-    ok, _ = euf_valid(body, mk_and(forward_target))
+    forward_target = wrap_definitions(
+        [*pre.renaming.items(), *pre.initial_delta], mk_and(pre.passthrough + pre.s1)
+    )
+    ok, _ = euf_valid(body, forward_target)
     if not ok:
         return False
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import Budget
 from .euf import cc_sat
-from .formulas import mk_and, mk_or, wrap_definitions
+from .formulas import expand_lets, mk_and, mk_or, wrap_definitions
 from .parse import format_formula
 from .terms import (
     Eq,
@@ -28,7 +28,6 @@ from .terms import (
     orient,
     term_is_efree,
 )
-from .terms import unravel as unravel_literals
 
 RULE_NAMES = ("1.0", "1.i", "1.ii", "2", "3", "4")
 
@@ -43,7 +42,7 @@ class Disjunct:
         """The conjunction under its definitions, built once per unravel flag."""
         if unravel not in self._built:
             if unravel:
-                self._built[True] = mk_and(unravel_literals(self.delta, self.phi))
+                self._built[True] = expand_lets(self.formula())
             else:
                 self._built[False] = wrap_definitions(self.delta, mk_and(self.phi))
         return self._built[unravel]
@@ -203,7 +202,9 @@ def compute_tableaux_ui(
     def keep(state: _State) -> bool:
         if prune != "semantic":
             return True
-        return cc_sat(unravel_literals(state.delta, state.phi))
+        # Each y is fresh with one body, so its definition read as an
+        # equation is equisatisfiable with the unravelled literals.
+        return cc_sat(state.phi + [Eq(const(y), t) for y, t in state.delta])
 
     disjuncts: list[Disjunct] = []
     stack = [_State(list(pre.initial_delta), list(pre.s1), list(pre.passthrough),

@@ -115,11 +115,20 @@ def term_tree_size(t: Term, memo: dict | None = None) -> int:
     """Node count of the fully expanded tree (not the shared DAG)."""
     if memo is None:
         memo = {}
-    r = memo.get(t.id)
-    if r is None:
-        r = 1 + sum(term_tree_size(a, memo) for a in t.args)
-        memo[t.id] = r
-    return r
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u.id in memo:
+            stack.pop()
+            continue
+        for a in u.args:
+            if a.id not in memo:
+                stack.append(a)
+                break
+        else:
+            stack.pop()
+            memo[u.id] = 1 + sum(memo[a.id] for a in u.args)
+    return memo[t.id]
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +192,6 @@ def resolve(entries) -> dict[Symbol, Term]:
     for y, body in entries:
         mapping[y] = term_substitute(body, mapping, memo)
     return mapping
-
-
-def unravel(entries, literals) -> list:
-    """The literals with every defined symbol expanded; sides keep their order."""
-    mapping = resolve(entries)
-    memo: dict = {}
-    return [
-        type(lit)(term_substitute(lit.lhs, mapping, memo), term_substitute(lit.rhs, mapping, memo))
-        for lit in literals
-    ]
 
 
 def compatible(t: Term, u: Term):

@@ -285,13 +285,24 @@ def test_linear_definition_chain_needs_no_saturation(tmp_path, capsys):
     assert " s3_size=0 " in err
 
 
-def test_long_definition_chain_under_tableaux(tmp_path, capsys):
-    code, out, err = run_cli(
-        capsys, ["--algorithm", "tableaux", write(tmp_path, linear_chain(500))]
-    )
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--algorithm", "tableaux"],
+        ["--algorithm", "tableaux", "--prune", "semantic"],
+        ["--algorithm", "tableaux", "--unravel"],
+        ["--algorithm", "conditional", "--unravel"],
+    ],
+    ids=["tableaux", "tableaux-prune-semantic", "tableaux-unravel", "conditional-unravel"],
+)
+def test_long_definition_chain_under_tableaux(tmp_path, capsys, flags):
+    code, out, err = run_cli(capsys, flags + [write(tmp_path, linear_chain(500))])
     assert code == 0
-    assert out.count("(let ((y") == 500
     assert "Traceback" not in err
+    if "--unravel" in flags:
+        assert "(let" not in out
+    else:
+        assert out.count("(let ((y") == 500
 
 
 # Every demo input runs both engines to an oracle-checked agreement.

@@ -20,7 +20,7 @@ from eufui.conditional import (
 )
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
-from eufui.formulas import FALSE, formula_atoms, mk_and
+from eufui.formulas import FALSE, formula_symbols, mk_and
 from eufui.parse import format_formula, format_term, parse, parse_formula
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
@@ -365,13 +365,7 @@ def test_random_corpus_residue_and_cross_algorithm_agreement():
     for problem, pre in corpus(424242, 40):
         res = compute_conditional_ui(pre)
         ui = res.formula(unravel=True)
-        for atom in formula_atoms(ui):
-            for t in (atom.lhs, atom.rhs):
-                stack = [t]
-                while stack:
-                    u = stack.pop()
-                    assert u.head.kind not in ("quantified", "defined")
-                    stack.extend(u.args)
+        assert all(s.kind not in ("quantified", "defined") for s in formula_symbols(ui))
         inp = mk_and(problem.body)
         ok, cube = euf_valid(inp, ui)
         assert ok, (cube, format_formula(ui))

@@ -10,7 +10,7 @@ from test_preprocess import EX16, EX22, EX39
 from eufui import tableaux
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
-from eufui.formulas import FALSE, formula_atoms, wrap_definitions
+from eufui.formulas import FALSE, wrap_definitions
 from eufui.parse import format_formula, parse, parse_formula
 from eufui.preprocess import PreprocessedInput, flatten
 from eufui.tableaux import compute_tableaux_ui

@@ -23,7 +23,6 @@ from eufui.terms import (
     resolve,
     term_substitute,
     term_tree_size,
-    unravel,
 )
 
 
@@ -91,10 +90,10 @@ def test_unravel_examples():
     y1 = mk_symbol("y1", 0, "defined")
     y2 = mk_symbol("y2", 0, "defined")
     d = [(y1, z3), (y2, const(y1))]
-    assert unravel(d, [Eq(intern(h, (const(y2),)), z0)]) == [Eq(intern(h, (z3,)), z0)]
-    assert unravel([], [Ne(z0, z3)]) == [Ne(z0, z3)]
+    assert expand_lets(Let(tuple(d), Eq(intern(h, (const(y2),)), z0))) == Eq(intern(h, (z3,)), z0)
+    assert expand_lets(Ne(z0, z3)) == Ne(z0, z3)
     # sides keep their order even when both become 0-ary
-    assert unravel([(y1, z0)], [Ne(const(y1), z3)]) == [Ne(z0, z3)]
+    assert expand_lets(Let(((y1, z0),), Ne(const(y1), z3))) == Ne(z0, z3)
 
 
 def test_unravel_matches_exists_semantics():
@@ -106,7 +105,7 @@ def test_unravel_matches_exists_semantics():
     d = [(y1, intern(f, (z, z))), (y2, intern(f, (const(y1), const(y1))))]
     defs = mk_and([Eq(const(yv), body) for yv, body in d])
     quantified_form = mk_and([defs, Eq(const(y2), z)])
-    flat_form = mk_and(unravel(d, [Eq(const(y2), z)]))
+    flat_form = expand_lets(Let(tuple(d), Eq(const(y2), z)))
     # forward: the definitions entail the unravelled body
     ok, _ = euf_valid(quantified_form, flat_form)
     assert ok
