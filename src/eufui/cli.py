@@ -108,7 +108,7 @@ def main(argv=None) -> int:
 
     tab = cond = None
     try:
-        pre = flatten(problem)
+        pre = flatten(problem, budget)
         if args.algorithm in ("tableaux", "both"):
             tab = compute_tableaux_ui(pre, strategy=args.strategy, budget=budget, prune=args.prune)
         if args.algorithm in ("conditional", "both"):

@@ -2,9 +2,10 @@
 
 cc_sat decides conjunctions of ground (dis)equalities. euf_valid reduces
 validity to unsatisfiability and searches the lazy DNF of the query with
-closure-based pruning, so only cubes consistent so far are ever expanded;
-the cube cap counts cc_sat calls, and the deadline is checked at each one
-and before each let-expansion and NNF pass.
+closure-based pruning, so only cubes consistent so far are ever expanded.
+In that search one `assume` adds every literal to the cube and calls
+cc_sat on it, so the cube cap counts cc_sat calls, and the deadline is
+checked at each one and before each let-expansion and NNF pass.
 """
 from __future__ import annotations
 
@@ -117,96 +118,76 @@ def _find_sat_cube(f, budget: Budget):
 
     Literal-branching search: atoms are absorbed into the cube with a
     closure check each time, disjunctions are simplified against the
-    current assignment, lone survivors propagate, and branching takes one
-    disjunct at a time, learning its complement when a branch fails.
+    current assignment, lone survivors propagate in unit rounds, and
+    branching takes one disjunct at a time, learning its complement when a
+    branch fails. Only a branch copies the cube and the assignment.
     """
     stats = {"cubes_spent": 0}
 
-    def spend():
+    def value(lit, assign):
+        """True or False when identity or the assignment decides lit, else None."""
+        if lit.lhs is lit.rhs:
+            return isinstance(lit, Eq)
+        got = assign.get(frozenset((lit.lhs.id, lit.rhs.id)))
+        return None if got is None else got is isinstance(lit, Eq)
+
+    def assume(lit, cube, assign) -> bool:
+        """Add lit to the cube, spending one cube; False when that closes it."""
+        assign[frozenset((lit.lhs.id, lit.rhs.id))] = isinstance(lit, Eq)
+        cube.append(lit)
         budget.count(stats, "cubes_spent")
         budget.check_time(stats)
-
-    def norm(g):
-        return frozenset((g.lhs.id, g.rhs.id))
+        return cc_sat(cube)
 
     def search(obligations, cube, assign):
-        obligations = list(obligations)
-        cube = list(cube)
-        assign = dict(assign)
-        ors = []
-        while obligations:
-            g = obligations.pop()
-            if isinstance(g, And):
-                obligations.extend(g.parts)
-            elif isinstance(g, Or):
-                ors.append(g)
-            elif isinstance(g, (Eq, Ne)):
-                pos = isinstance(g, Eq)
-                if g.lhs is g.rhs:
-                    if pos:
-                        continue
-                    return None
-                got = assign.get(norm(g))
-                if got is not None:
-                    if got is not pos:
+        while True:
+            ors = []
+            while obligations:
+                g = obligations.pop()
+                if isinstance(g, And):
+                    obligations.extend(g.parts)
+                elif isinstance(g, Or):
+                    ors.append(g)
+                elif isinstance(g, (Eq, Ne)):
+                    v = value(g, assign)
+                    if v is False or (v is None and not assume(g, cube, assign)):
                         return None
-                    continue
-                assign[norm(g)] = pos
-                cube.append(g)
-                spend()
-                if not cc_sat(cube):
+                elif isinstance(g, FFalse):
                     return None
-            elif isinstance(g, FFalse):
-                return None
-            elif isinstance(g, FTrue):
-                continue
-            else:
-                raise TypeError(f"unexpected node in NNF search: {g!r}")
+                elif not isinstance(g, FTrue):
+                    raise TypeError(f"unexpected node in NNF search: {g!r}")
 
-        pending = []
-        units = []
-        for g in ors:
-            parts = []
-            satisfied = False
-            for p in g.parts:
-                if isinstance(p, (Eq, Ne)):
-                    pos = isinstance(p, Eq)
-                    if p.lhs is p.rhs:
-                        if pos:
-                            satisfied = True
-                            break
-                        continue
-                    got = assign.get(norm(p))
-                    if got is pos:
-                        satisfied = True
+            units, pending = [], []
+            for g in ors:
+                parts = []
+                for p in g.parts:
+                    v = value(p, assign) if isinstance(p, (Eq, Ne)) else None
+                    if v:
                         break
-                    if got is None:
+                    if v is None:
                         parts.append(p)
                 else:
-                    parts.append(p)
-            if satisfied:
-                continue
-            if not parts:
-                return None
-            if len(parts) == 1:
-                units.append(parts[0])
-            else:
-                pending.append(parts)
-        if units:
-            return search(units + [Or(tuple(p)) for p in pending], cube, assign)
+                    if not parts:
+                        return None
+                    if len(parts) == 1:
+                        units.append(parts[0])
+                    else:
+                        pending.append(parts)
+            if not units:
+                break
+            obligations = units + [Or(tuple(p)) for p in pending]
+
         if not pending:
             return cube
         pending.sort(key=len)
         parts, rest = pending[0], [Or(tuple(p)) for p in pending[1:]]
         for p in parts:
-            res = search(rest + [p], cube, assign)
+            res = search(rest + [p], list(cube), dict(assign))
             if res is not None:
                 return res
             if isinstance(p, (Eq, Ne)):
-                assign[norm(p)] = isinstance(p, Ne)
-                cube.append(Eq(p.lhs, p.rhs) if isinstance(p, Ne) else Ne(p.lhs, p.rhs))
-                spend()
-                if not cc_sat(cube):
+                complement = Eq(p.lhs, p.rhs) if isinstance(p, Ne) else Ne(p.lhs, p.rhs)
+                if not assume(complement, cube, assign):
                     return None
         return None
 

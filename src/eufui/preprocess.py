@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import Budget
 from .euf import euf_valid
 from .formulas import mk_and, wrap_definitions
 from .terms import (
@@ -43,8 +44,12 @@ class PreprocessedInput:
     taken_names: set[str] = field(default_factory=set)
 
 
-def flatten(problem) -> PreprocessedInput:
-    """Flatten the problem body into s1 plus the e-free passthrough."""
+def flatten(problem, budget: Budget = Budget()) -> PreprocessedInput:
+    """Flatten the problem body into s1 plus the e-free passthrough.
+
+    The deadline is checked once per fixpoint pass; a timeout here carries
+    no counters.
+    """
     pre = PreprocessedInput()
     taken = set(problem.symbols)
     ypool = NamePool("y", taken, start=1)
@@ -105,6 +110,7 @@ def flatten(problem) -> PreprocessedInput:
     # passing h(y)=z through.
     changed = True
     while changed:
+        budget.check_time({})
         changed = False
         seen = set()
         for i, lit in enumerate(work):

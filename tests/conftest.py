@@ -1,12 +1,12 @@
-"""Shared helpers: tiny signature factory, randomized instance builders and
-a fake clock for the run budget."""
+"""Shared helpers: tiny signature factory, randomized instance builders, a
+fake clock for the run budget and a counter of the oracle's closure calls."""
 from __future__ import annotations
 
 import random
 
 import pytest
 
-from eufui import errors, terms
+from eufui import errors, euf, terms
 from eufui.parse import Problem
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
@@ -25,6 +25,20 @@ def counting_clock(monkeypatch):
 
     monkeypatch.setattr(errors, "time", CountingClock)
     return CountingClock
+
+
+@pytest.fixture
+def cc_sat_calls(monkeypatch):
+    """The oracle's cc_sat, counted: one entry per call, the cube's length."""
+    calls = []
+    original = euf.cc_sat
+
+    def counting(literals):
+        calls.append(len(literals))
+        return original(literals)
+
+    monkeypatch.setattr(euf, "cc_sat", counting)
+    return calls
 
 
 class Sig:

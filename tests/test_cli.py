@@ -10,7 +10,7 @@ import pytest
 from conftest import linear_chain
 from test_conditional import THREE_CHAIN
 from test_preprocess import EX16, EX22, EX39
-from test_tableaux import EX22_TARGET, EX39_TARGET
+from test_tableaux import EX22_CLOSED, EX22_CLOSED_TARGET, EX22_TARGET, EX39_TARGET
 
 from eufui import cli, errors
 from eufui.euf import euf_equiv
@@ -65,17 +65,18 @@ def test_algorithm_selection(tmp_path, capsys):
 
 
 def test_both_prints_labeled_lines_and_equivalence(tmp_path, capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["--algorithm", "both", "--verify", "equivalence", write(tmp_path, EX22)],
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("tableaux: ")
-    assert lines[1].startswith("conditional: ")
-    assert lines[2] == "equivalent"
-    for line in lines[:2]:
-        assert_equiv(line.split(": ", 1)[1], EX22, EX22_TARGET)
+    for text, target in ((EX22, EX22_TARGET), (EX22_CLOSED, EX22_CLOSED_TARGET)):
+        code, out, _ = run_cli(
+            capsys,
+            ["--algorithm", "both", "--verify", "equivalence", write(tmp_path, text)],
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("tableaux: ")
+        assert lines[1].startswith("conditional: ")
+        assert lines[2] == "equivalent"
+        for line in lines[:2]:
+            assert_equiv(line.split(": ", 1)[1], text, target)
 
 
 def test_residue_verification_passes(tmp_path, capsys):
@@ -249,6 +250,17 @@ def test_timeout_exits_3(tmp_path, capsys):
         assert "timeout exceeded" in err
 
 
+def test_timeout_bounds_flatten(tmp_path, capsys):
+    # Flattening the chain alone takes seconds; no engine ever starts.
+    code, out, err = run_cli(
+        capsys,
+        ["--algorithm", "tableaux", "--timeout-ms", "200", write(tmp_path, linear_chain(1000))],
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "resource limit: timeout exceeded\n"
+
+
 def test_timeout_checked_before_printing(tmp_path, capsys, monkeypatch):
     class Clock:
         now = 0.0
@@ -312,6 +324,16 @@ def test_demo_input_engines_agree(path, capsys):
     code, out, _ = run_cli(capsys, ["--algorithm", "both", "--verify", "equivalence", str(path)])
     assert code == 0
     assert out.splitlines()[-1] == "equivalent"
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("sixteen_branches.smt", 397), ("nested_shared.smt", 13), ("three_chains.smt", 183)],
+)
+def test_equivalence_check_cc_sat_calls(name, calls, capsys, cc_sat_calls):
+    code, _, _ = run_cli(capsys, ["--algorithm", "both", "--verify", "equivalence", demo(name)])
+    assert code == 0
+    assert len(cc_sat_calls) == calls
 
 
 # Stats channel: fixed key set, sorted JSON, no timing in machine output.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import Sig, brute_force_sat, random_flat_instance
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import CongruenceState, cc_sat, euf_equiv, euf_valid
-from eufui.formulas import TRUE, Implies, Let, Not, mk_and, mk_eq, mk_implies, mk_or
+from eufui.formulas import TRUE, And, Implies, Let, Not, Or, mk_and, mk_eq, mk_implies, mk_or
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
 
@@ -181,3 +181,55 @@ def test_euf_valid_true_and_false_edges():
     assert not ok and cube == [Ne(z1, z2)]
     assert euf_valid(mk_and([Eq(z1, z2), Ne(z1, z2)]), Eq(z2, z1)) == (True, None)
     assert euf_valid(Not(Eq(z1, z1)), Eq(z1, z2)) == (True, None)
+
+
+# The cube search's order, pinned by its closure calls.
+
+def test_many_cube_query_cc_sat_calls(cc_sat_calls):
+    big, goal = many_cube_query()
+    ok, cube = euf_valid(big, goal)
+    assert not ok and cc_sat(cube)
+    assert len(cc_sat_calls) == 8
+
+
+def random_nnf(rng, atoms, depth):
+    """A random And/Or tree over the given literals."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    node = And if rng.random() < 0.5 else Or
+    return node(tuple(random_nnf(rng, atoms, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def dnf(f, positive=True):
+    """The cubes of f, or of its negation, by plain enumeration."""
+    if isinstance(f, (Eq, Ne)):
+        if isinstance(f, Eq) is positive:
+            return [[Eq(f.lhs, f.rhs)]]
+        return [[Ne(f.lhs, f.rhs)]]
+    conj = isinstance(f, And) is positive
+    parts = [dnf(p, positive) for p in f.parts]
+    if not conj:
+        return [c for p in parts for c in p]
+    cubes = [[]]
+    for p in parts:
+        cubes = [c + d for c in cubes for d in p]
+    return cubes
+
+
+def test_euf_valid_matches_dnf_enumeration_seeded(cc_sat_calls):
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(300):
+        _, _, atoms = random_flat_instance(
+            rng, nconsts=rng.randint(2, 4), nfuns=1, nlits=rng.randint(1, 8)
+        )
+        hyp, concl = random_nnf(rng, atoms, 3), random_nnf(rng, atoms, 3)
+        ok, cube = euf_valid(hyp, concl)
+        cubes = [h + c for h in dnf(hyp) for c in dnf(concl, positive=False)]
+        want = not any(cc_sat(c) for c in cubes)
+        assert ok == want
+        if not ok:
+            assert cc_sat(cube)
+        verdicts.append(ok)
+    assert sum(verdicts) == 158
+    assert len(cc_sat_calls) == 558

@@ -7,6 +7,7 @@ import pytest
 from conftest import doubling_chain, random_problem
 
 from eufui.conditional import compute_conditional_ui
+from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv
 from eufui.parse import format_formula, format_term, parse
 from eufui.preprocess import flatten, live_symbols, replay_check
@@ -161,6 +162,18 @@ def test_flatten_definition_chain_collapses_in_order():
         ("y6", "(f6 y5 y5)"),
     ]
     assert fmt(pre.passthrough) == ["(= (h y6) z0)"]
+
+
+def test_flatten_checks_deadline_per_pass(counting_clock):
+    # doubling_chain(6) takes 14 fixpoint passes, each reading the clock once.
+    problem = parse(doubling_chain(6))
+    flatten(problem, Budget(deadline=14.0))
+    assert counting_clock.reads == 14
+    counting_clock.reads = 0
+    with pytest.raises(ResourceLimitError, match="timeout exceeded") as exc:
+        flatten(problem, Budget(deadline=13.0))
+    assert counting_clock.reads == 14
+    assert exc.value.stats == {}
 
 
 def test_flatten_row58_leaves_no_eliminated_variables():

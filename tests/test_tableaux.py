@@ -16,6 +16,19 @@ from eufui.preprocess import PreprocessedInput, flatten
 from eufui.tableaux import compute_tableaux_ui
 from eufui.terms import Eq, const, mk_symbol, term_is_efree, term_symbols
 
+# EX22 with both results quantified and kept apart: the branch that merges
+# the arguments closes on e1 != e1.
+EX22_CLOSED = """
+(declare-sort U 0)
+(declare-fun f (U U) U)
+(declare-const e0 U)(declare-const e1 U)(declare-const e2 U)
+(declare-const z1 U)(declare-const z2 U)
+(eliminate e0 e1 e2)
+(assert (= (f e0 z1) e1))
+(assert (= (f e0 z2) e2))
+(assert (not (= e1 e2)))
+"""
+EX22_CLOSED_TARGET = "(not (= z2 z1))"
 EX39_TARGET = "(=> (and (= z1 z2) (= z3 z4)) (= (h z0) z0))"
 EX22_TARGET = "(=> (= z1 z3) (= z2 z4))"
 EX16_TARGET = (
@@ -45,6 +58,11 @@ def test_two_application_example():
     assert ui.stats["rule4_firings"] == 1
     assert_equiv(ui.formula(), problem, EX22_TARGET)
     assert_equiv(ui.formula(unravel=True), problem, EX22_TARGET)
+
+    _, ui = run_text(EX22_CLOSED)
+    assert ui.stats["branches_explored"] == 2
+    assert ui.stats["rule_apps"] == {"1.0": 1, "1.i": 0, "1.ii": 1, "2": 0, "3": 0, "4": 1}
+    assert format_formula(ui.formula()) == EX22_CLOSED_TARGET
 
 
 def test_shared_subterm_example_branches_and_golden_disjunct():
