@@ -5,9 +5,10 @@ of one function contributes "argument equalities imply the right-side
 equality", and every input literal survives as a unit clause (a quantified
 disequality becomes an equality-implies-bottom clause). Step 2 saturates
 under rewriting by clauses whose consequent equates two quantified
-variables. The output conjoins, over every extractable chain of
-conditional definitions, the clauses expressible in the retained language
-once the chain's placeholders are bound.
+variables; a rewrite replaces one occurrence at any single operand position
+of a clause, all positions treated alike. The output conjoins, over every
+extractable chain of conditional definitions, the clauses expressible in
+the retained language once the chain's placeholders are bound.
 """
 from __future__ import annotations
 
@@ -34,10 +35,24 @@ from .terms import (
 
 @dataclass(frozen=True)
 class HornClause:
-    """Antecedent of variable equalities, consequent literal (None is bottom)."""
+    """Antecedent of variable equalities, consequent literal (None is bottom).
+
+    `operands` lists both sides of each antecedent atom, then the
+    consequent's arguments (its left side when 0-ary) and its right side:
+    the positions that rewriting and substitution address.
+    """
 
     antecedent: tuple
     consequent: object
+    operands: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        ops = [t for a in self.antecedent for t in (a.lhs, a.rhs)]
+        cq = self.consequent
+        if cq is not None:
+            ops.extend(cq.lhs.args if cq.lhs.args else (cq.lhs,))
+            ops.append(cq.rhs)
+        object.__setattr__(self, "operands", tuple(ops))
 
 
 def _atom_key(a: Eq) -> tuple[int, int]:
@@ -71,23 +86,27 @@ def make_clause(antecedent, consequent, keep_tautology: bool = False):
     return HornClause(tuple(atoms), consequent)
 
 
-def _clause_operands(c: HornClause):
-    for a in c.antecedent:
-        yield a.lhs
-        yield a.rhs
+def _with_operands(c: HornClause, ops):
+    """c's antecedent atoms and consequent rebuilt from operands in `HornClause.operands` order."""
+    k = 2 * len(c.antecedent)
+    ante = [Eq(ops[p], ops[p + 1]) for p in range(0, k, 2)]
     cq = c.consequent
-    if cq is None:
-        return
-    if cq.lhs.args:
-        yield from cq.lhs.args
-        yield cq.rhs
-    else:
-        yield cq.lhs
-        yield cq.rhs
+    if cq is not None:
+        if cq.lhs.args:
+            cq = Eq(intern(cq.lhs.head, ops[k:-1]), ops[-1])
+        else:
+            cq = Eq(ops[k], ops[k + 1])
+    return ante, cq
+
+
+def _substituted(c: HornClause, mapping: dict):
+    """c's antecedent atoms and consequent with mapping applied to every operand."""
+    memo: dict = {}
+    return _with_operands(c, [term_substitute(t, mapping, memo) for t in c.operands])
 
 
 def _mentions(c: HornClause, sym: Symbol) -> bool:
-    return any(t.head is sym for t in _clause_operands(c))
+    return any(t.head is sym for t in c.operands)
 
 
 def _is_rewriter(c: HornClause) -> bool:
@@ -125,37 +144,20 @@ def step1(pre) -> list[HornClause]:
 
 
 def _rewrite_once(r: HornClause, c: HornClause) -> list[HornClause]:
-    """All single-occurrence replacements of r's consequent lhs inside c."""
-    src = r.consequent.lhs
-    dst = r.consequent.rhs
-    extra = list(r.antecedent)
+    """All single-occurrence replacements of r's consequent lhs inside c, in operand order.
+
+    Every position is treated alike, except that r does not rewrite its own consequent.
+    """
+    src, dst = r.consequent.lhs, r.consequent.rhs
+    ops = c.operands
     out = []
-    for idx, atom in enumerate(c.antecedent):
-        if atom.lhs is src:
-            ante = list(c.antecedent)
-            ante[idx] = Eq(dst, atom.rhs)
-            out.append(make_clause(ante + extra, c.consequent))
-        if atom.rhs is src:
-            ante = list(c.antecedent)
-            ante[idx] = Eq(atom.lhs, dst)
-            out.append(make_clause(ante + extra, c.consequent))
-    cq = c.consequent
-    if cq is not None and r is not c:
-        base = list(c.antecedent) + extra
-        if not cq.lhs.args:
-            if cq.lhs is src:
-                out.append(make_clause(base, Eq(dst, cq.rhs)))
-            if cq.rhs is src:
-                out.append(make_clause(base, Eq(cq.lhs, dst)))
-        else:
-            for k, a in enumerate(cq.lhs.args):
-                if a is src:
-                    args = list(cq.lhs.args)
-                    args[k] = dst
-                    out.append(make_clause(base, Eq(intern(cq.lhs.head, tuple(args)), cq.rhs)))
-            if cq.rhs is src:
-                out.append(make_clause(base, Eq(cq.lhs, dst)))
-    return [c2 for c2 in out if c2 is not None]
+    for p in range(2 * len(c.antecedent) if r is c else len(ops)):
+        if ops[p] is src:
+            ante, cq = _with_operands(c, (*ops[:p], dst, *ops[p + 1:]))
+            c2 = make_clause(ante + list(r.antecedent), cq)
+            if c2 is not None:
+                out.append(c2)
+    return out
 
 
 def _subsumes(d: HornClause, c: HornClause) -> bool:
@@ -269,33 +271,23 @@ def enumerate_cdags(s3, evars, budget: Budget = Budget(), stats: dict | None = N
 
 def core_clauses(s3, wset: set) -> list[HornClause]:
     """Clauses whose every variable operand is retained or in wset."""
-    return [c for c in s3 if all(_in_lang(t, wset) for t in _clause_operands(c))]
+    return [c for c in s3 if all(_in_lang(t, wset) for t in c.operands)]
 
 
 def _clause_trivial(c: HornClause, mapping: dict) -> bool:
-    cq = c.consequent
-    if cq is None:
+    if c.consequent is None:
         return False
-    lhs = term_substitute(cq.lhs, mapping)
-    rhs = term_substitute(cq.rhs, mapping)
-    if lhs is rhs:
+    ante, cq = _substituted(c, mapping)
+    if cq.lhs is cq.rhs:
         return True
-    goal = {lhs.id, rhs.id}
-    return any(
-        {term_substitute(a.lhs, mapping).id, term_substitute(a.rhs, mapping).id} == goal
-        for a in c.antecedent
-    )
+    goal = {cq.lhs.id, cq.rhs.id}
+    return any({a.lhs.id, a.rhs.id} == goal for a in ante)
 
 
 def _clause_formula(c: HornClause, mapping: dict):
-    ante = mk_and([mk_eq(term_substitute(a.lhs, mapping), term_substitute(a.rhs, mapping))
-                   for a in c.antecedent])
-    cq = c.consequent
-    if cq is None:
-        concl = FALSE
-    else:
-        concl = mk_eq(term_substitute(cq.lhs, mapping), term_substitute(cq.rhs, mapping))
-    return mk_implies(ante, concl)
+    ante, cq = _substituted(c, mapping)
+    concl = FALSE if cq is None else mk_eq(cq.lhs, cq.rhs)
+    return mk_implies(mk_and([mk_eq(a.lhs, a.rhs) for a in ante]), concl)
 
 
 @dataclass
@@ -311,10 +303,7 @@ class PhiDelta:
         if not unravel:
             body = mk_and([_clause_formula(c, wmap) for c in self.core])
             for e in reversed(self.entries):
-                gamma = mk_and(
-                    [mk_eq(term_substitute(a.lhs, wmap), term_substitute(a.rhs, wmap))
-                     for a in e.clause.antecedent]
-                )
+                gamma = mk_and([mk_eq(a.lhs, a.rhs) for a in _substituted(e.clause, wmap)[0]])
                 bound = self.placeholders[e.var]
                 body = mk_implies(gamma, Let(((bound, term_substitute(e.body, wmap)),), body))
             return body

@@ -23,7 +23,6 @@ from .formulas import (
     mk_and,
     mk_eq,
     mk_implies,
-    mk_ne,
     mk_or,
 )
 from .terms import Eq, Ne, Symbol, Term, const, intern, mk_symbol

@@ -21,8 +21,10 @@ from .terms import (
     Symbol,
     Term,
     const,
+    eliminate,
+    flat_symbols,
     intern,
-    is_app_eq,
+    is_app_definition,
     lit_is_efree,
     lit_substitute,
     mk_symbol,
@@ -95,13 +97,6 @@ def flatten(problem, budget: Budget = Budget()) -> PreprocessedInput:
         b = atom_of(lit.rhs)
         work.append(orient(type(lit)(a, b)))
 
-    def eliminate(i: int, sym: Symbol, witness: Term) -> None:
-        pre.eliminated[sym] = witness
-        pre.renaming.pop(sym, None)
-        del work[i]
-        mapping = {sym: witness}
-        work[:] = [lit_substitute(l, mapping) if sym in flat_symbols(l) else l for l in work]
-
     # Simplification to fixpoint: drop trivia, eliminate e=t by replacement,
     # move literals that became e-free to passthrough, drop duplicates. Only
     # in a pass where none of these applies does rule 2 turn an application
@@ -119,32 +114,26 @@ def flatten(problem, budget: Budget = Budget()) -> PreprocessedInput:
                     pre.falsified = True
                     return pre
                 del work[i]
-                changed = True
-                break
-            if isinstance(lit, Eq) and lit.lhs.head.kind == "quantified":
-                eliminate(i, lit.lhs.head, lit.rhs)
-                changed = True
-                break
-            if lit_is_efree(lit):
+            elif isinstance(lit, Eq) and lit.lhs.head.kind == "quantified":
+                pre.eliminated[lit.lhs.head] = lit.rhs
+                eliminate(work, i, lit.lhs.head, lit.rhs)
+            elif lit_is_efree(lit):
                 del work[i]
                 if lit not in pre.passthrough:
                     pre.passthrough.append(lit)
-                changed = True
-                break
-            if lit in seen:
+            elif lit in seen:
                 del work[i]
-                changed = True
-                break
-            seen.add(lit)
+            else:
+                seen.add(lit)
+                continue
+            changed = True
+            break
         if changed:
             continue
         for i, lit in enumerate(work):
-            if (
-                is_app_eq(lit)
-                and lit.rhs.head.kind == "quantified"
-                and all(term_is_efree(a) for a in lit.lhs.args)
-            ):
-                eliminate(i, lit.rhs.head, y_for(lit.lhs))
+            if is_app_definition(lit):
+                pre.eliminated[lit.rhs.head] = y = y_for(lit.lhs)
+                eliminate(work, i, lit.rhs.head, y)
                 changed = True
                 break
 
@@ -161,8 +150,10 @@ def flatten(problem, budget: Budget = Budget()) -> PreprocessedInput:
     if renumber:
         work = [lit_substitute(lit, renumber) for lit in work]
 
-    # Resolve eliminated witnesses through later replacements and renumbering.
+    # Resolve eliminated witnesses through later replacements and renumbering;
+    # an eliminated fresh variable keeps no renaming.
     for sym in list(pre.eliminated):
+        pre.renaming.pop(sym, None)
         w = pre.eliminated[sym]
         while w.head in pre.eliminated:
             w = pre.eliminated[w.head]
@@ -181,11 +172,6 @@ def flatten(problem, budget: Budget = Budget()) -> PreprocessedInput:
         | {s.name for s in pre.renaming}
     )
     return pre
-
-
-def flat_symbols(lit) -> list[Symbol]:
-    """Heads of a flat literal's sides and of their arguments."""
-    return [u.head for t in (lit.lhs, lit.rhs) for u in (t, *t.args)]
 
 
 def live_symbols(s1) -> set[Symbol]:

@@ -1,10 +1,12 @@
 """Branching tableaux elimination: the result is a disjunction of constraints.
 
 A branch state is (delta, phi, psi): explicit definitions built so far, the
-retained e-free part, and the remaining work set of flat literals. Rules are
-tried in a fixed priority order; only the splitting rule branches. Terminal
-work sets hold nothing but blocked applications and quantified disequalities
-and are discarded, so each surviving branch contributes (delta, phi).
+retained e-free part, and the remaining work set of flat literals. Each rule
+is found and applied in one scan: `fire` tries the rules in a fixed priority
+order and applies the first match on the spot; only the splitting rule
+branches. Terminal work sets hold nothing but blocked applications and
+quantified disequalities and are discarded, so each surviving branch
+contributes (delta, phi).
 """
 from __future__ import annotations
 
@@ -21,9 +23,10 @@ from .terms import (
     Ne,
     compatible,
     const,
+    eliminate,
+    is_app_definition,
     is_app_eq,
     lit_is_efree,
-    lit_substitute,
     mk_symbol,
     orient,
     term_is_efree,
@@ -111,17 +114,22 @@ def compute_tableaux_ui(
     if pre.falsified:
         return UiResultDnf([], stats)
 
-    def find_redex(state: _State):
+    def fire(state: _State):
+        """Apply the first matching rule; return its name (None if none) and the outcome."""
         psi = state.psi
         n = len(psi)
         idx = range(n) if forward else range(n - 1, -1, -1)
         for i in idx:
             if psi[i].lhs is psi[i].rhs:
-                return ("1.0", i)
+                if isinstance(psi[i], Ne):
+                    return "1.0", "closed"
+                del psi[i]
+                return "1.0", "open"
         for i, j in _pairs(n, forward):
             a, b = psi[i], psi[j]
             if is_app_eq(a) and is_app_eq(b) and a.lhs is b.lhs:
-                return ("1.i", (i, j))
+                psi[i] = orient(Eq(a.rhs, b.rhs))
+                return "1.i", "open"
         for i in idx:
             lit = psi[i]
             if (
@@ -129,59 +137,36 @@ def compute_tableaux_ui(
                 and lit.lhs.head.kind == "quantified"
                 and lit.rhs.head.kind == "quantified"
             ):
-                return ("1.ii", i)
+                eliminate(psi, i, lit.lhs.head, lit.rhs)
+                return "1.ii", "open"
         for i in idx:
             lit = psi[i]
             if isinstance(lit, Eq) and lit.lhs.head.kind == "quantified" and term_is_efree(lit.rhs):
-                return ("2", i)
-            if (
-                is_app_eq(lit)
-                and lit.rhs.head.kind == "quantified"
-                and all(term_is_efree(a) for a in lit.lhs.args)
-            ):
-                return ("2", i)
+                evar, body = lit.lhs.head, lit.rhs
+            elif is_app_definition(lit):
+                evar, body = lit.rhs.head, lit.lhs
+            else:
+                continue
+            y = mk_symbol(state.ynames.fresh(), 0, "defined")
+            state.delta.append((y, body))
+            eliminate(psi, i, evar, const(y))
+            return "2", "open"
         for i in idx:
             if lit_is_efree(psi[i]):
-                return ("3", i)
+                lit = psi.pop(i)
+                if lit not in state.phi:
+                    state.phi.append(lit)
+                return "3", "open"
         for i, j in _pairs(n, forward):
             a, b = psi[i], psi[j]
             if is_app_eq(a) and is_app_eq(b) and a.lhs is not b.lhs:
                 diffs = compatible(a.lhs, b.lhs)
                 if diffs is not None and not _blocked(diffs, state.phi):
-                    return ("4", (i, j, diffs))
-        return None
+                    stack.extend(reversed(split(state, i, j, diffs)))
+                    return "4", "split"
+        return None, "terminal"
 
-    def apply_rule(state: _State, kind: str, payload) -> str:
-        psi = state.psi
-        if kind == "1.0":
-            if isinstance(psi[payload], Ne):
-                return "closed"
-            del psi[payload]
-        elif kind == "1.i":
-            i, j = payload
-            psi[i] = orient(Eq(psi[i].rhs, psi[j].rhs))
-        elif kind == "1.ii":
-            lit = psi.pop(payload)
-            mapping = {lit.lhs.head: lit.rhs}
-            psi[:] = [lit_substitute(l, mapping) for l in psi]
-        elif kind == "2":
-            lit = psi.pop(payload)
-            if not lit.lhs.args:
-                evar, body = lit.lhs.head, lit.rhs
-            else:
-                evar, body = lit.rhs.head, lit.lhs
-            y = mk_symbol(state.ynames.fresh(), 0, "defined")
-            state.delta.append((y, body))
-            mapping = {evar: const(y)}
-            psi[:] = [lit_substitute(l, mapping) for l in psi]
-        else:  # rule 3
-            lit = psi.pop(payload)
-            if lit not in state.phi:
-                state.phi.append(lit)
-        return "open"
-
-    def split(state: _State, payload) -> list:
-        i, j, diffs = payload
+    def split(state: _State, i: int, j: int, diffs) -> list:
         succs = []
         s0 = state.copy()
         a, b = s0.psi[i].rhs, s0.psi[j].rhs
@@ -213,26 +198,18 @@ def compute_tableaux_ui(
     while stack:
         budget.check_time(stats)
         state = stack.pop()
-        # Apply rules until the branch splits, closes, or has no redex left.
+        # Fire rules until the branch splits, closes, or no rule matches.
         while True:
             ticks += 1
             if not ticks % 256:
                 budget.check_time(stats)
-            redex = find_redex(state)
-            if redex is None:
-                outcome = "terminal"
-                break
-            kind, payload = redex
-            stats["rule_apps"][kind] += 1
-            if kind == "4":
-                stats["rule4_firings"] += 1
-                stack.extend(reversed(split(state, payload)))
-                outcome = "split"
-                break
-            if apply_rule(state, kind, payload) == "closed":
-                outcome = "closed"
+            rule, outcome = fire(state)
+            if rule is not None:
+                stats["rule_apps"][rule] += 1
+            if outcome != "open":
                 break
         if outcome == "split":
+            stats["rule4_firings"] += 1
             continue
         budget.count(stats, "branches_explored")
         if outcome == "terminal" and keep(state):

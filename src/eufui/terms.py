@@ -160,6 +160,15 @@ def is_app_eq(lit) -> bool:
     return isinstance(lit, Eq) and bool(lit.lhs.args)
 
 
+def is_app_definition(lit) -> bool:
+    """True for f(a1..ah) = e with e quantified and every ai e-free: rule 2 defines e."""
+    return (
+        is_app_eq(lit)
+        and lit.rhs.head.kind == "quantified"
+        and all(term_is_efree(a) for a in lit.lhs.args)
+    )
+
+
 def orient(lit):
     """Store a literal between 0-ary terms with the larger-ranked symbol on the left."""
     if not (lit.lhs.args or lit.rhs.args) and lit.lhs.head.rank() < lit.rhs.head.rank():
@@ -178,6 +187,21 @@ def lit_substitute(lit, mapping: dict[Symbol, Term], memo: dict | None = None):
     lhs = term_substitute(lit.lhs, mapping, memo)
     rhs = term_substitute(lit.rhs, mapping, memo)
     return orient(type(lit)(lhs, rhs))
+
+
+def flat_symbols(lit) -> list[Symbol]:
+    """Heads of a flat literal's sides and of their arguments."""
+    return [u.head for t in (lit.lhs, lit.rhs) for u in (t, *t.args)]
+
+
+def eliminate(lits: list, i: int, sym: Symbol, t: Term) -> None:
+    """Delete lits[i] and replace sym by t in the remaining flat literals, in place.
+
+    Only literals that mention sym are rebuilt; the others stay the same objects.
+    """
+    del lits[i]
+    mapping = {sym: t}
+    lits[:] = [lit_substitute(l, mapping) if sym in flat_symbols(l) else l for l in lits]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from test_conditional import (
     chain_shape,
     clause_str,
     minimal_connecting_sets,
-    _clause_operands,
 )
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX16_TARGET, EX22_TARGET, EX39_TARGET
@@ -145,7 +144,7 @@ def test_criterion_06_connection_gadget_matches_brute_force():
     assert chain_shape(cond) == [[]]
 
     def is_param_only(c):
-        return all(t.head.kind != "quantified" for t in _clause_operands(c))
+        return all(t.head.kind != "quantified" for t in c.operands)
 
     param_clauses = [c for c in cond.s3 if is_param_only(c)]
     reduced = [

@@ -374,6 +374,7 @@ GOLDEN_FLAGS = {
     "both-equivalence": ["--algorithm", "both", "--verify", "equivalence"],
     "unravel-stats": ["--unravel", "--format", "stats-json"],
     "tableaux-stats": ["--algorithm", "tableaux", "--format", "stats-json"],
+    "tableaux-reversed-stats": ["--algorithm", "tableaux", "--strategy", "reversed", "--format", "stats-json"],
 }
 
 

@@ -5,14 +5,14 @@ import itertools
 import random
 
 import pytest
-from conftest import random_problem
+from conftest import Sig, random_problem
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX16_TARGET, EX22_TARGET, EX39_TARGET
 
 from eufui.conditional import (
     HornClause,
-    _clause_operands,
     _is_rewriter,
+    _rewrite_once,
     compute_conditional_ui,
     make_clause,
     step1,
@@ -24,7 +24,7 @@ from eufui.formulas import FALSE, formula_symbols, mk_and
 from eufui.parse import format_formula, format_term, parse, parse_formula
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
-from eufui.terms import Eq
+from eufui.terms import Eq, intern
 
 # Two same-shape application pairs per placeholder pair; three ways to chain
 # the conditional definitions, each giving a different conjunct of the UI.
@@ -216,7 +216,7 @@ def test_chain_gadget_only_empty_chain_and_path_clauses():
     assert chain_shape(res) == [[]]
 
     def is_param_only(c):
-        return all(t.head.kind != "quantified" for t in _clause_operands(c))
+        return all(t.head.kind != "quantified" for t in c.operands)
 
     param_clauses = [c for c in res.s3 if is_param_only(c)]
     reduced = [c for c in param_clauses
@@ -239,6 +239,39 @@ def test_chain_gadget_only_empty_chain_and_path_clauses():
 def test_nested_example_matches_branching_algorithm_target():
     problem, res = run_text(EX16)
     assert_equiv(res.formula(unravel=True), problem, EX16_TARGET)
+
+
+def test_rewrite_once_every_position_in_order():
+    s = Sig()
+    f = s.fn("f", 3)
+    z1, z2 = s.params("z1", "z2")
+    e0, e3, e4 = s.evars("e0", "e3", "e4")
+    r = make_clause([Eq(z1, z2)], Eq(e3, e0))
+    assert clause_str(r) == "[z2=z1]->e3=e0"
+
+    def rewrites(c, by=r):
+        return [clause_str(d) for d in _rewrite_once(by, c)]
+
+    # antecedent lhs, antecedent rhs, then the 0-ary consequent's lhs
+    assert rewrites(make_clause([Eq(e3, z1), Eq(e4, e3)], Eq(e3, z2))) == [
+        "[z2=z1,e0=z1,e4=e3]->e3=z2",
+        "[z2=z1,e3=z1,e4=e0]->e3=z2",
+        "[z2=z1,e3=z1,e4=e3]->e0=z2",
+    ]
+    # the 0-ary consequent's rhs
+    assert rewrites(make_clause([], Eq(e4, e3))) == ["[z2=z1]->e4=e0"]
+    # an application consequent: each matching argument, then the right side
+    assert rewrites(HornClause((), Eq(intern(f, (e3, z1, e3)), e3))) == [
+        "[z2=z1]->(f e0 z1 e3)=e3",
+        "[z2=z1]->(f e3 z1 e0)=e3",
+        "[z2=z1]->(f e3 z1 e3)=e0",
+    ]
+    # a bottom consequent: only the antecedent is rewritten
+    assert rewrites(make_clause([Eq(e3, z1)], None)) == ["[z2=z1,e0=z1]->false"]
+    assert rewrites(make_clause([Eq(z1, z2)], Eq(e4, z1))) == []
+    # r rewriting itself: its consequent is left alone
+    r2 = make_clause([Eq(e3, z1)], Eq(e3, e0))
+    assert rewrites(r2, by=r2) == ["[e0=z1,e3=z1]->e3=e0"]
 
 
 def test_saturation_order_insensitive():

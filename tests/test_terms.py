@@ -16,7 +16,9 @@ from eufui.terms import (
     Ne,
     compatible,
     const,
+    eliminate,
     intern,
+    is_app_definition,
     lit_substitute,
     mk_symbol,
     orient,
@@ -176,6 +178,30 @@ def test_compatible_difference_sets():
     assert compatible(intern(f, (z1, z3)), intern(f, (z1, z3))) == []
     g = s.fn("g", 2)
     assert compatible(intern(f, (z1, e)), intern(g, (z1, e))) is None
+
+
+def test_eliminate_rewrites_only_literals_mentioning_the_symbol():
+    s = Sig()
+    f = s.fn("f", 2)
+    z1, z2 = s.params("z1", "z2")
+    e0, e1, e2 = s.evars("e0", "e1", "e2")
+    apart = [Eq(intern(f, (z1, e0)), e2), Ne(e2, z2)]
+    lits = [Eq(e1, z1), apart[0], Eq(intern(f, (e1, z2)), e0), apart[1], Ne(e1, e0)]
+    eliminate(lits, 0, e1.head, z1)
+    # e1 -> z1 leaves the parameter on the left of z1 != e0, so that pair swaps
+    assert lits == [apart[0], Eq(intern(f, (z1, z2)), e0), apart[1], Ne(e0, z1)]
+    assert lits[0] is apart[0] and lits[2] is apart[1]
+
+
+def test_app_definition_shape():
+    s = Sig()
+    f = s.fn("f", 2)
+    z1 = s.params("z1")[0]
+    e0, e1 = s.evars("e0", "e1")
+    assert is_app_definition(Eq(intern(f, (z1, z1)), e0))
+    assert not is_app_definition(Eq(intern(f, (z1, e1)), e0))
+    assert not is_app_definition(Eq(intern(f, (z1, z1)), z1))
+    assert not is_app_definition(Eq(e0, z1))
 
 
 def test_orientation_total_order():
