@@ -3,9 +3,12 @@
 cc_sat decides conjunctions of ground (dis)equalities. euf_valid reduces
 validity to unsatisfiability and searches the lazy DNF of the query with
 closure-based pruning, so only cubes consistent so far are ever expanded.
-In that search one `assume` adds every literal to the cube and calls
-cc_sat on it, so the cube cap counts cc_sat calls, and the deadline is
-checked at each one and before each let-expansion and NNF pass.
+In that search one `assume` adds every undecided literal to the cube and
+calls cc_sat on it, so the cube cap counts cc_sat calls, and the deadline
+is checked at each one and before each let-expansion and NNF pass. The
+cube is the values of one ordered map from atom to the literal assumed.
+The closure never deletes a signature: a stale one holds a merged-away
+root, which no later `find` returns, so no lookup ever hits it.
 """
 from __future__ import annotations
 
@@ -22,10 +25,8 @@ class CongruenceState:
     def __init__(self):
         self.parent: dict[int, int] = {}
         self.rank: dict[int, int] = {}
-        self.terms: dict[int, Term] = {}
-        self.use: dict[int, list[int]] = {}
+        self.use: dict[int, list[Term]] = {}
         self.sig: dict[tuple, int] = {}
-        self.sig_key: dict[int, tuple] = {}
         self.pending: deque[tuple[int, int]] = deque()
 
     def find(self, i: int) -> int:
@@ -42,7 +43,6 @@ class CongruenceState:
             return self.find(t.id)
         self.parent[t.id] = t.id
         self.rank[t.id] = 0
-        self.terms[t.id] = t
         if t.args:
             arg_reps = tuple(self.add(a) for a in t.args)
             key = (t.head.uid, arg_reps)
@@ -51,9 +51,8 @@ class CongruenceState:
                 self.pending.append((t.id, other))
             else:
                 self.sig[key] = t.id
-                self.sig_key[t.id] = key
             for r in set(arg_reps):
-                self.use.setdefault(r, []).append(t.id)
+                self.use.setdefault(r, []).append(t)
         return self.find(t.id)
 
     def merge(self, a: Term, b: Term) -> None:
@@ -73,19 +72,15 @@ class CongruenceState:
             elif self.rank[ri] == self.rank[rj]:
                 self.rank[rj] += 1
             self.parent[ri] = rj
-            # Re-canonicalize signatures of applications that mention ri.
+            # Re-canonicalize signatures of applications that mention ri. Their
+            # stale keys stay in sig: they hold ri, which is never a root again.
             for app in self.use.pop(ri, []):
-                old = self.sig_key.pop(app, None)
-                if old is not None and self.sig.get(old) == app:
-                    del self.sig[old]
-                arg_reps = tuple(self.find(a.id) for a in self.terms[app].args)
-                key = (self.terms[app].head.uid, arg_reps)
+                key = (app.head.uid, tuple(self.find(a.id) for a in app.args))
                 other = self.sig.get(key)
-                if other is not None and self.find(other) != self.find(app):
-                    self.pending.append((app, other))
-                elif other is None:
-                    self.sig[key] = app
-                    self.sig_key[app] = key
+                if other is None:
+                    self.sig[key] = app.id
+                elif self.find(other) != self.find(app.id):
+                    self.pending.append((app.id, other))
                 self.use.setdefault(rj, []).append(app)
 
     def equal(self, a: Term, b: Term) -> bool:
@@ -107,10 +102,7 @@ def cc_sat(literals) -> bool:
         else:
             state.merge(lit.lhs, lit.rhs)
     state.close()
-    for lit in diseqs:
-        if state.find(lit.lhs.id) == state.find(lit.rhs.id):
-            return False
-    return True
+    return all(state.find(lit.lhs.id) != state.find(lit.rhs.id) for lit in diseqs)
 
 
 def _find_sat_cube(f, budget: Budget):
@@ -120,7 +112,9 @@ def _find_sat_cube(f, budget: Budget):
     closure check each time, disjunctions are simplified against the
     current assignment, lone survivors propagate in unit rounds, and
     branching takes one disjunct at a time, learning its complement when a
-    branch fails. Only a branch copies the cube and the assignment.
+    branch fails. The assignment is one ordered map from an atom's key (its
+    pair of term ids) to the literal assumed for it; its values, in
+    insertion order, are the cube, and only a branch copies it.
     """
     stats = {"cubes_spent": 0}
 
@@ -129,17 +123,19 @@ def _find_sat_cube(f, budget: Budget):
         if lit.lhs is lit.rhs:
             return isinstance(lit, Eq)
         got = assign.get(frozenset((lit.lhs.id, lit.rhs.id)))
-        return None if got is None else got is isinstance(lit, Eq)
+        return None if got is None else isinstance(got, Eq) is isinstance(lit, Eq)
 
-    def assume(lit, cube, assign) -> bool:
-        """Add lit to the cube, spending one cube; False when that closes it."""
-        assign[frozenset((lit.lhs.id, lit.rhs.id))] = isinstance(lit, Eq)
-        cube.append(lit)
+    def assume(lit, assign) -> bool:
+        """False when lit is refuted or closes the cube; an undecided lit joins it, spending a cube."""
+        v = value(lit, assign)
+        if v is not None:
+            return v
+        assign[frozenset((lit.lhs.id, lit.rhs.id))] = lit
         budget.count(stats, "cubes_spent")
         budget.check_time(stats)
-        return cc_sat(cube)
+        return cc_sat(assign.values())
 
-    def search(obligations, cube, assign):
+    def search(obligations, assign):
         while True:
             ors = []
             while obligations:
@@ -149,8 +145,7 @@ def _find_sat_cube(f, budget: Budget):
                 elif isinstance(g, Or):
                     ors.append(g)
                 elif isinstance(g, (Eq, Ne)):
-                    v = value(g, assign)
-                    if v is False or (v is None and not assume(g, cube, assign)):
+                    if not assume(g, assign):
                         return None
                 elif isinstance(g, FFalse):
                     return None
@@ -178,20 +173,20 @@ def _find_sat_cube(f, budget: Budget):
             obligations = units + [Or(tuple(p)) for p in pending]
 
         if not pending:
-            return cube
+            return list(assign.values())
         pending.sort(key=len)
         parts, rest = pending[0], [Or(tuple(p)) for p in pending[1:]]
         for p in parts:
-            res = search(rest + [p], list(cube), dict(assign))
+            res = search(rest + [p], dict(assign))
             if res is not None:
                 return res
             if isinstance(p, (Eq, Ne)):
                 complement = Eq(p.lhs, p.rhs) if isinstance(p, Ne) else Ne(p.lhs, p.rhs)
-                if not assume(complement, cube, assign):
+                if not assume(complement, assign):
                     return None
         return None
 
-    return search([f], [], {})
+    return search([f], {})
 
 
 def euf_valid(hyp, concl, budget: Budget = Budget()):
@@ -207,9 +202,7 @@ def euf_valid(hyp, concl, budget: Budget = Budget()):
         budget.check_time({"cubes_spent": 0})
         parts.append(nnf(f, positive))
     cube = _find_sat_cube(mk_and(parts), budget)
-    if cube is None:
-        return True, None
-    return False, cube
+    return cube is None, cube
 
 
 def euf_equiv(a, b, budget: Budget = Budget()):

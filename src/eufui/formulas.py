@@ -61,44 +61,30 @@ class Let:
 Formula = object
 
 
-def mk_and(parts) -> Formula:
-    out = []
-    seen = set()
+def _mk_nary(kind, unit, zero, parts) -> Formula:
+    """kind over parts: unit parts dropped, a zero part absorbing, same-kind
+    parts flattened one level, duplicates kept at their first position."""
+    out = {}  # an ordered set
     for p in parts:
-        if p is TRUE:
+        if p is unit:
             continue
-        if p is FALSE:
-            return FALSE
-        inner = p.parts if isinstance(p, And) else (p,)
-        for q in inner:
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
+        if p is zero:
+            return zero
+        for q in p.parts if isinstance(p, kind) else (p,):
+            out[q] = None
     if not out:
-        return TRUE
+        return unit
     if len(out) == 1:
-        return out[0]
-    return And(tuple(out))
+        return next(iter(out))
+    return kind(tuple(out))
+
+
+def mk_and(parts) -> Formula:
+    return _mk_nary(And, TRUE, FALSE, parts)
 
 
 def mk_or(parts) -> Formula:
-    out = []
-    seen = set()
-    for p in parts:
-        if p is FALSE:
-            continue
-        if p is TRUE:
-            return TRUE
-        inner = p.parts if isinstance(p, Or) else (p,)
-        for q in inner:
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
-    if not out:
-        return FALSE
-    if len(out) == 1:
-        return out[0]
-    return Or(tuple(out))
+    return _mk_nary(Or, FALSE, TRUE, parts)
 
 
 def mk_implies(lhs: Formula, rhs: Formula) -> Formula:
@@ -162,12 +148,9 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
         if positive:
             return mk_or([nnf(f.lhs, False), nnf(f.rhs, True)])
         return mk_and([nnf(f.lhs, True), nnf(f.rhs, False)])
-    if isinstance(f, And):
+    if isinstance(f, (And, Or)):
         parts = [nnf(p, positive) for p in f.parts]
-        return mk_and(parts) if positive else mk_or(parts)
-    if isinstance(f, Or):
-        parts = [nnf(p, positive) for p in f.parts]
-        return mk_or(parts) if positive else mk_and(parts)
+        return mk_and(parts) if isinstance(f, And) is positive else mk_or(parts)
     if isinstance(f, Let):
         return nnf(expand_lets(f), positive)
     raise TypeError(f"not a formula: {f!r}")

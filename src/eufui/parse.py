@@ -6,9 +6,14 @@ Assertions must be literals: (= t u), (not (= t u)) or (distinct t u ...),
 where distinct with more arguments expands to pairwise disequalities.
 Output formulas use and/or/=>/not/=/let plus true/false and are
 re-parseable with parse_formula (lets are substituted at parse time).
+
+The reader is one pass of one regex: each match is a parenthesis, an atom,
+a line break or a `;` comment, and blanks (space, tab, CR) fall between
+matches. Error positions are 1-based line:column, counting characters.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -52,62 +57,30 @@ class SExpr:
     col: int
 
 
-def _tokenize(text: str):
-    line, col = 1, 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, line, col + 1)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col + 1
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield (text[start:i], line, start_col)
-    yield (None, line, col + 1)
+# Blanks (space, tab, CR) match nothing, so finditer steps over them.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|\n|;[^\n]*")
 
 
 def read_sexprs(text: str) -> list[SExpr]:
     """All top-level s-expressions; raises InputError on malformed input."""
-    out = []
+    out: list[SExpr] = []
     stack: list[SExpr] = []
-    for tok, line, col in _tokenize(text):
-        if tok is None:
-            if stack:
-                raise InputError("unclosed parenthesis", stack[-1].line, stack[-1].col)
-            break
-        if tok == "(":
-            node = SExpr([], line, col)
-            if stack:
-                stack[-1].value.append(node)
-            else:
-                out.append(node)
-            stack.append(node)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok, col = m.group(), m.start() - line_start + 1
+        if tok == "\n":
+            line, line_start = line + 1, m.end()
         elif tok == ")":
             if not stack:
                 raise InputError("unmatched closing parenthesis", line, col)
             stack.pop()
-        else:
-            node = SExpr(tok, line, col)
-            if stack:
-                stack[-1].value.append(node)
-            else:
-                out.append(node)
+        elif tok[0] != ";":
+            node = SExpr([] if tok == "(" else tok, line, col)
+            (stack[-1].value if stack else out).append(node)
+            if tok == "(":
+                stack.append(node)
+    if stack:
+        raise InputError("unclosed parenthesis", stack[-1].line, stack[-1].col)
     return out
 
 

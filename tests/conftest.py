@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from eufui import errors, euf, terms
+from eufui import errors, euf
 from eufui.parse import Problem
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Sig, brute_force_sat, random_flat_instance
+from eufui import euf
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import CongruenceState, cc_sat, euf_equiv, euf_valid
-from eufui.formulas import TRUE, And, Implies, Let, Not, Or, mk_and, mk_eq, mk_implies, mk_or
+from eufui.formulas import FALSE, TRUE, And, Implies, Let, Not, Or, mk_and, mk_or
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
 
@@ -190,6 +191,26 @@ def test_many_cube_query_cc_sat_calls(cc_sat_calls):
     ok, cube = euf_valid(big, goal)
     assert not ok and cc_sat(cube)
     assert len(cc_sat_calls) == 8
+
+
+def test_search_assumes_each_atom_once_per_cube(monkeypatch):
+    # Both disjuncts are one atom. Once a=b fails and a!=b is learned, b=a is
+    # refuted by the assignment, and its complement is already assumed.
+    s = Sig()
+    f = s.fn("f", 1)
+    a, b = s.params("a", "b")
+    cubes = []
+
+    def recording(literals):
+        cubes.append(list(literals))
+        return cc_sat(cubes[-1])
+
+    monkeypatch.setattr(euf, "cc_sat", recording)
+    hyp = And((Ne(intern(f, (a,)), intern(f, (b,))), Or((Eq(a, b), Eq(b, a)))))
+    assert euf_valid(hyp, FALSE) == (True, None)
+    assert [len(c) for c in cubes] == [1, 2, 2]
+    for cube in cubes:
+        assert len({frozenset((lit.lhs, lit.rhs)) for lit in cube}) == len(cube)
 
 
 def random_nnf(rng, atoms, depth):

@@ -81,6 +81,28 @@ def test_parse_error_positions():
         parse("(declare-sort U 0)(declare-const a U)(eliminate")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(declare-sort U 0)\n\t(frob)", "2:2: unknown command frob"),  # a tab is one column
+        ("(declare-sort U 0)\n \r\t(frob)", "2:4: unknown command frob"),  # CR is a blank, not a line break
+        ("(declare-sort U 0)\r(frob)", "1:20: unknown command frob"),
+        ("; a comment (frob\n  (frob)", "2:3: unknown command frob"),  # a comment runs to end of line
+        ("(declare-sort U 0) ; (x\n; )\n (declare-const a U)) ", "3:21: unmatched closing parenthesis"),
+        ("(declare-sort U 0))", "1:19: unmatched closing parenthesis"),
+        ("(declare-sort U 0)\n(eliminate)\n  (assert (= a", "3:11: unclosed parenthesis"),
+        # \x0b and \x0c are atom characters; columns count characters, not bytes
+        ("(declare-sort U 0)(declare-const é U)(eliminate)(assert (= é g\x0bh))", "1:62: undeclared symbol g\x0bh"),
+        ("(declare-sort U 0)(declare-const a\x0cb U)(eliminate)(assert (= a\x0cb é))", "1:66: undeclared symbol é"),
+    ],
+)
+def test_parse_error_line_and_column(text, message):
+    with pytest.raises(InputError) as e:
+        parse(text)
+    assert str(e.value) == message
+    assert (e.value.line, e.value.col) == tuple(int(n) for n in message.split(":")[:2])
+
+
 def test_parse_bytes_and_comments():
     text = "; a comment\n(declare-sort U 0)(declare-const z U)(eliminate) ; done\n"
     p = parse(text.encode())
@@ -134,7 +156,6 @@ def test_format_and_reparse_formula_round_trip():
 def test_format_true_false():
     assert format_formula(TRUE) == "true"
     assert format_formula(FALSE) == "false"
-    sym = {"": None}
     assert parse_formula("true", {}) is TRUE
     assert parse_formula("false", {}) is FALSE
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import Sig
 from eufui.euf import euf_valid
 from eufui import formulas, terms
-from eufui.formulas import Let, expand_lets, mk_and, wrap_definitions
+from eufui.formulas import FALSE, TRUE, And, Let, Or, expand_lets, mk_and, mk_or, wrap_definitions
 from eufui.parse import parse
 from eufui.terms import (
     Eq,
@@ -158,6 +158,26 @@ def test_expand_lets_inner_binding_shadows_outer():
     x = mk_symbol("x", 0, "defined")
     inner = Let(((x, intern(f, (const(x),))),), Eq(const(x), z))
     assert expand_lets(Let(((x, a),), inner)) == Eq(intern(f, (a,)), z)
+
+
+def test_mk_and_mk_or_edge_cases():
+    s = Sig()
+    a, b, c = s.params("a", "b", "c")
+    p, q, r = Eq(a, b), Eq(b, c), Ne(a, c)
+    for mk, kind, unit, zero in ((mk_and, And, TRUE, FALSE), (mk_or, Or, FALSE, TRUE)):
+        table = [
+            ([], unit),  # empty input returns the unit
+            ([p], p),  # one part returns itself
+            ([p, kind((q, r))], kind((p, q, r))),  # nested same-kind parts flatten
+            ([kind((p, kind((q, r))))], kind((p, kind((q, r))))),  # one level only
+            ([q, p, q, kind((p, r))], kind((q, p, r))),  # duplicates keep their first position
+            ([p, q, zero, r], zero),  # a zero part absorbs, even after other parts
+            ([unit, p, unit, q], kind((p, q))),  # a unit part is dropped
+            ([unit, unit], unit),
+        ]
+        for parts, want in table:
+            assert mk(parts) == want, (mk.__name__, parts)
+        assert mk(iter([p, q])) == kind((p, q))  # any iterable
 
 
 def test_wrap_definitions_keeps_reached_entries_in_order():
