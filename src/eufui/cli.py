@@ -62,23 +62,15 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _ui_sizes(result, unravel: bool) -> dict:
-    sizes = {"ui_compressed_size": fsize(result.formula())}
-    if unravel:
-        sizes["ui_unravelled_size"] = fsize(result.formula(unravel=True))
-    return sizes
-
-
 def _collect_stats(args, tab, cond) -> dict:
     stats = {k: 0 for k in STATS_KEYS if k != "ui_unravelled_size"}
-    if tab is not None:
-        stats["branches_explored"] = tab.stats["branches_explored"]
-        stats["rule4_firings"] = tab.stats["rule4_firings"]
-    if cond is not None:
-        stats["s2_size"] = cond.stats["s2_size"]
-        stats["s3_size"] = cond.stats["s3_size"]
-        stats["num_cdags"] = cond.stats["num_cdags"]
-    stats.update(_ui_sizes(cond if cond is not None else tab, args.unravel))
+    for result in (tab, cond):
+        if result is not None:
+            stats.update((k, v) for k, v in result.stats.items() if k in stats)
+    result = cond if cond is not None else tab
+    stats["ui_compressed_size"] = fsize(result.formula())
+    if args.unravel:
+        stats["ui_unravelled_size"] = fsize(result.formula(unravel=True))
     return stats
 
 

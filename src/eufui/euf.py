@@ -8,7 +8,10 @@ calls cc_sat on it, so the cube cap counts cc_sat calls, and the deadline
 is checked at each one and before each let-expansion and NNF pass. The
 cube is the values of one ordered map from atom to the literal assumed.
 The closure never deletes a signature: a stale one holds a merged-away
-root, which no later `find` returns, so no lookup ever hits it.
+root, which no later `find` returns, so no lookup ever hits it. A union
+puts the root with the shorter use list under the other, so an application
+only ever moves to a use list at least twice as long (Downey, Sethi &
+Tarjan, JACM 1980).
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ class CongruenceState:
 
     def __init__(self):
         self.parent: dict[int, int] = {}
-        self.rank: dict[int, int] = {}
         self.use: dict[int, list[Term]] = {}
         self.sig: dict[tuple, int] = {}
         self.pending: deque[tuple[int, int]] = deque()
@@ -42,7 +44,6 @@ class CongruenceState:
         if t.id in self.parent:
             return self.find(t.id)
         self.parent[t.id] = t.id
-        self.rank[t.id] = 0
         if t.args:
             arg_reps = tuple(self.add(a) for a in t.args)
             key = (t.head.uid, arg_reps)
@@ -67,10 +68,8 @@ class CongruenceState:
             ri, rj = self.find(i), self.find(j)
             if ri == rj:
                 continue
-            if self.rank[ri] > self.rank[rj]:
+            if len(self.use.get(ri, ())) > len(self.use.get(rj, ())):
                 ri, rj = rj, ri
-            elif self.rank[ri] == self.rank[rj]:
-                self.rank[rj] += 1
             self.parent[ri] = rj
             # Re-canonicalize signatures of applications that mention ri. Their
             # stale keys stay in sig: they hold ri, which is never a root again.
@@ -82,12 +81,6 @@ class CongruenceState:
                 elif self.find(other) != self.find(app.id):
                     self.pending.append((app.id, other))
                 self.use.setdefault(rj, []).append(app)
-
-    def equal(self, a: Term, b: Term) -> bool:
-        self.add(a)
-        self.add(b)
-        self.close()
-        return self.find(a.id) == self.find(b.id)
 
 
 def cc_sat(literals) -> bool:

@@ -1,9 +1,12 @@
 """Quantifier-free formula nodes over interned terms, with let bindings.
 
-A Let node carries an ordered list of (y, body) definitions, the same shape
-as `pre.initial_delta`; lets are the compressed (DAG-shaped) output form.
-expand_lets substitutes them away in one pass, which can grow the formula
-exponentially (that blow-up is the point of keeping them).
+The node kinds are TRUE, FALSE, the Eq/Ne literals, And, Or, Implies and
+Let. There is no negation node: parse_formula reads a negation into
+negation normal form. A Let node carries an ordered list of (y, body)
+definitions, the same shape as `pre.initial_delta`; lets are the compressed
+(DAG-shaped) output form. expand_lets substitutes them away in one pass,
+which can grow the formula exponentially (that blow-up is the point of
+keeping them).
 """
 from __future__ import annotations
 
@@ -34,11 +37,6 @@ class And:
 @dataclass(frozen=True)
 class Or:
     parts: tuple
-
-
-@dataclass(frozen=True)
-class Not:
-    body: object
 
 
 @dataclass(frozen=True)
@@ -125,15 +123,13 @@ def _expand(f: Formula, env: dict[Symbol, Term], memo: dict) -> Formula:
         return mk_and([_expand(p, env, memo) for p in f.parts])
     if isinstance(f, Or):
         return mk_or([_expand(p, env, memo) for p in f.parts])
-    if isinstance(f, Not):
-        return Not(_expand(f.body, env, memo))
     if isinstance(f, Implies):
         return mk_implies(_expand(f.lhs, env, memo), _expand(f.rhs, env, memo))
     return f
 
 
 def nnf(f: Formula, positive: bool = True) -> Formula:
-    """Negation normal form; atoms become Eq/Ne leaves only."""
+    """Negation normal form of the let-free f; atoms become Eq/Ne leaves only."""
     if isinstance(f, FTrue):
         return TRUE if positive else FALSE
     if isinstance(f, FFalse):
@@ -142,8 +138,6 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
         return f if positive else mk_ne(f.lhs, f.rhs)
     if isinstance(f, Ne):
         return f if positive else mk_eq(f.lhs, f.rhs)
-    if isinstance(f, Not):
-        return nnf(f.body, not positive)
     if isinstance(f, Implies):
         if positive:
             return mk_or([nnf(f.lhs, False), nnf(f.rhs, True)])
@@ -151,8 +145,6 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
     if isinstance(f, (And, Or)):
         parts = [nnf(p, positive) for p in f.parts]
         return mk_and(parts) if isinstance(f, And) is positive else mk_or(parts)
-    if isinstance(f, Let):
-        return nnf(expand_lets(f), positive)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -166,8 +158,6 @@ def fsize(f: Formula, tmemo: dict | None = None) -> int:
         return 1 + term_tree_size(f.lhs, tmemo) + term_tree_size(f.rhs, tmemo)
     if isinstance(f, (And, Or)):
         return 1 + sum(fsize(p, tmemo) for p in f.parts)
-    if isinstance(f, Not):
-        return 1 + fsize(f.body, tmemo)
     if isinstance(f, Implies):
         return 1 + fsize(f.lhs, tmemo) + fsize(f.rhs, tmemo)
     if isinstance(f, Let):
@@ -186,8 +176,6 @@ def formula_symbols(f: Formula) -> set[Symbol]:
         elif isinstance(g, (And, Or)):
             for p in g.parts:
                 go(p)
-        elif isinstance(g, Not):
-            go(g.body)
         elif isinstance(g, Implies):
             go(g.lhs)
             go(g.rhs)

@@ -5,7 +5,8 @@ Commands: (declare-sort U 0), (declare-fun f (U U) U), (declare-const z1 U),
 Assertions must be literals: (= t u), (not (= t u)) or (distinct t u ...),
 where distinct with more arguments expands to pairwise disequalities.
 Output formulas use and/or/=>/not/=/let plus true/false and are
-re-parseable with parse_formula (lets are substituted at parse time).
+re-parseable with parse_formula, which substitutes lets away and reads a
+negation into negation normal form.
 
 The reader is one pass of one regex: each match is a parenthesis, an atom,
 a line break or a `;` comment, and blanks (space, tab, CR) fall between
@@ -23,17 +24,17 @@ from .formulas import (
     And,
     Implies,
     Let,
-    Not,
     Or,
     mk_and,
     mk_eq,
     mk_implies,
     mk_or,
+    nnf,
 )
-from .terms import Eq, Ne, Symbol, Term, const, intern, mk_symbol
+from .terms import Eq, Ne, Symbol, Term, intern, mk_symbol
 
-# Deepest accepted application nesting in a problem term; the engines, the
-# oracle and the printer recurse on term depth.
+# Deepest accepted application nesting in a problem term; the oracle's
+# CongruenceState.add and term_substitute recurse on term depth.
 MAX_TERM_DEPTH = 256
 
 
@@ -193,34 +194,49 @@ def parse(text) -> Problem:
     return Problem(sort or "U", functions, parameters, eliminate, body, symbols)
 
 
-def _parse_term(node: SExpr, symbols: dict[str, Symbol], depth: int = 0) -> Term:
-    if isinstance(node.value, str):
-        sym = symbols.get(node.value)
-        if sym is None:
-            raise InputError(f"undeclared symbol {node.value}", node.line, node.col)
-        if sym.arity != 0:
-            raise InputError(
-                f"arity mismatch: {sym.name} expects {sym.arity} arguments, got 0",
-                node.line,
-                node.col,
-            )
-        return const(sym)
-    if not node.value:
-        raise InputError("empty term", node.line, node.col)
-    if depth == MAX_TERM_DEPTH:
-        raise InputError(f"term nested deeper than {MAX_TERM_DEPTH}", node.line, node.col)
-    head = _atom(node.value[0], "a function name")
-    sym = symbols.get(head)
-    if sym is None:
-        raise InputError(f"undeclared symbol {head}", node.value[0].line, node.value[0].col)
-    args = [_parse_term(sub, symbols, depth + 1) for sub in node.value[1:]]
-    if sym.arity != len(args):
-        raise InputError(
-            f"arity mismatch: {sym.name} expects {sym.arity} arguments, got {len(args)}",
-            node.line,
-            node.col,
-        )
-    return intern(sym, tuple(args))
+def _parse_term(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term] | None = None) -> Term:
+    """The term node spells; an atom is an application to no arguments.
+
+    A name bound in env stands for its term. Only problem terms (no env)
+    have a depth limit. Arguments are read left to right before their
+    application's arity is checked, on an explicit stack, so a deep term
+    cannot exhaust the call stack.
+    """
+    stack = []  # (node, symbol, argument nodes, arguments read) per open application
+    while True:
+        if env and isinstance(node.value, str) and node.value in env:
+            term = env[node.value]
+        else:
+            if isinstance(node.value, str):
+                head, subs = node, []
+            elif not node.value:
+                raise InputError("empty term", node.line, node.col)
+            elif env is None and len(stack) == MAX_TERM_DEPTH:
+                raise InputError(f"term nested deeper than {MAX_TERM_DEPTH}", node.line, node.col)
+            else:
+                head, subs = node.value[0], node.value[1:]
+            sym = symbols.get(_atom(head, "a function name"))
+            if sym is None:
+                raise InputError(f"undeclared symbol {head.value}", head.line, head.col)
+            stack.append((node, sym, subs, []))
+            term = None
+        while stack:
+            app, sym, subs, args = stack[-1]
+            if term is not None:
+                args.append(term)
+            if len(args) < len(subs):
+                break
+            stack.pop()
+            if sym.arity != len(args):
+                raise InputError(
+                    f"arity mismatch: {sym.name} expects {sym.arity} arguments, got {len(args)}",
+                    app.line,
+                    app.col,
+                )
+            term = intern(sym, args)
+        else:
+            return term
+        node = subs[len(args)]
 
 
 def _parse_literal(node: SExpr, symbols: dict[str, Symbol]):
@@ -281,7 +297,7 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
     if head == "not":
         if len(rest) != 1:
             raise InputError("not takes one formula", node.line, node.col)
-        return Not(_parse_formula(rest[0], symbols, env))
+        return nnf(_parse_formula(rest[0], symbols, env), False)
     if head == "=>":
         if len(rest) < 2:
             raise InputError("=> takes at least two formulas", node.line, node.col)
@@ -293,7 +309,7 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
     if head == "=":
         if len(rest) != 2:
             raise InputError("= takes two terms", node.line, node.col)
-        return mk_eq(_parse_env_term(rest[0], symbols, env), _parse_env_term(rest[1], symbols, env))
+        return mk_eq(_parse_term(rest[0], symbols, env), _parse_term(rest[1], symbols, env))
     if head == "let":
         if len(rest) != 2 or not isinstance(rest[0].value, list):
             raise InputError("let takes bindings and a body", node.line, node.col)
@@ -303,20 +319,9 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
                 raise InputError("malformed let binding", binding.line, binding.col)
             name = _atom(binding.value[0], "a bound name")
             # bindings are evaluated in the outer environment, SMT-LIB style
-            new_env[name] = _parse_env_term(binding.value[1], symbols, env)
+            new_env[name] = _parse_term(binding.value[1], symbols, env)
         return _parse_formula(rest[1], symbols, new_env)
     raise InputError(f"unknown connective {head}", node.line, node.col)
-
-
-def _parse_env_term(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]) -> Term:
-    if isinstance(node.value, str) and node.value in env:
-        return env[node.value]
-    if isinstance(node.value, list) and node.value:
-        head = _atom(node.value[0], "a function name")
-        sym = symbols.get(head)
-        if sym is not None and sym.arity == len(node.value) - 1:
-            return intern(sym, tuple(_parse_env_term(sub, symbols, env) for sub in node.value[1:]))
-    return _parse_term(node, symbols)
 
 
 # --- printing --------------------------------------------------------------
@@ -350,8 +355,6 @@ def format_formula(f) -> str:
         return "(and " + " ".join(format_formula(p) for p in f.parts) + ")"
     if isinstance(f, Or):
         return "(or " + " ".join(format_formula(p) for p in f.parts) + ")"
-    if isinstance(f, Not):
-        return f"(not {format_formula(f.body)})"
     if isinstance(f, Implies):
         return f"(=> {format_formula(f.lhs)} {format_formula(f.rhs)})"
     if isinstance(f, Let):

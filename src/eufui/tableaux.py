@@ -39,16 +39,7 @@ RULE_NAMES = ("1.0", "1.i", "1.ii", "2", "3", "4")
 class Disjunct:
     delta: list
     phi: list
-    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def formula(self, unravel: bool = False):
-        """The conjunction under its definitions, built once per unravel flag."""
-        if unravel not in self._built:
-            if unravel:
-                self._built[True] = expand_lets(self.formula())
-            else:
-                self._built[False] = wrap_definitions(self.delta, mk_and(self.phi))
-        return self._built[unravel]
+    formula: object  # the conjunction of phi under the definitions it reaches
 
 
 @dataclass
@@ -60,7 +51,9 @@ class UiResultDnf:
     def formula(self, unravel: bool = False):
         """The disjunction, built once per unravel flag."""
         if unravel not in self._built:
-            self._built[unravel] = mk_or([d.formula(unravel=unravel) for d in self.disjuncts])
+            self._built[unravel] = (
+                expand_lets(self.formula()) if unravel else mk_or([d.formula for d in self.disjuncts])
+            )
         return self._built[unravel]
 
 
@@ -213,7 +206,8 @@ def compute_tableaux_ui(
             continue
         budget.count(stats, "branches_explored")
         if outcome == "terminal" and keep(state):
-            disjuncts.append(Disjunct(state.delta, list(state.phi)))
+            formula = wrap_definitions(state.delta, mk_and(state.phi))
+            disjuncts.append(Disjunct(state.delta, state.phi, formula))
 
-    disjuncts.sort(key=lambda d: format_formula(d.formula()))
+    disjuncts.sort(key=lambda d: format_formula(d.formula))
     return UiResultDnf(disjuncts, stats)

@@ -1,8 +1,12 @@
-"""No module under src/, tests/ or demos/ imports a name it never reads.
+"""No module under src/, tests/ or demos/ imports a name it never reads,
+and nothing under src/ is defined that src/ never names.
 
-A stdlib `ast` scan: every name an import binds must be read somewhere in
-the same module, as a bare name or as the base of an attribute access.
-`from __future__` imports bind nothing and are skipped.
+Two stdlib `ast` scans. Every name an import binds must be read somewhere
+in the same module, as a bare name or as the base of an attribute access;
+`from __future__` imports bind nothing and are skipped. Every function,
+class and method defined under src/ must be named, as a name or an
+attribute, somewhere under src/ outside its own definition; dunders and the
+library entry points that only outside callers use are exempt.
 """
 from __future__ import annotations
 
@@ -13,6 +17,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
+ENTRY_POINTS = {"parse_formula", "replay_check"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +44,38 @@ def test_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Definitions that no module names outside the definition itself."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    # name -> every (path, line) where it is named
+    named = {}
+    for path, tree in trees.items():
+        for n in ast.walk(tree):
+            name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+            if name is not None:
+                named.setdefault(name, []).append((path, n.lineno))
+    dead = []
+    for path, tree in trees.items():
+        for d in ast.walk(tree):
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if d.name in ENTRY_POINTS or (d.name.startswith("__") and d.name.endswith("__")):
+                continue
+            if not any(p != path or not d.lineno <= line <= d.end_lineno for p, line in named.get(d.name, ())):
+                dead.append(f"{path}:{d.lineno}: {d.name}")
+    return sorted(dead)
+
+
+def test_scan_sees_a_dead_definition():
+    sources = {
+        "a.py": "def used(n):\n    return used(n - 1)\nclass C:\n    def m(self):\n        pass\n    def __repr__(self):\n        return ''\n",
+        "b.py": "from a import C\nC().m\ndef parse_formula():\n    pass\n",
+    }
+    assert dead_definitions(sources) == ["a.py:1: used"]
+
+
+def test_no_dead_definitions():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SRC_MODULES}
+    assert dead_definitions(sources) == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eufui.errors import InputError
 from eufui.euf import euf_equiv
-from eufui.formulas import FALSE, TRUE, Implies, Let, mk_and, mk_or
+from eufui.formulas import FALSE, TRUE, Implies, Let, Or, mk_and, mk_or, nnf
 from eufui.parse import format_formula, parse, parse_formula, print_ui
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
@@ -81,6 +81,9 @@ def test_parse_error_positions():
         parse("(declare-sort U 0)(declare-const a U)(eliminate")
 
 
+TERM_DECLS = "(declare-sort U 0)(declare-fun f (U) U)(declare-fun g (U U) U)(declare-const a U)(eliminate)\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -94,6 +97,18 @@ def test_parse_error_positions():
         # \x0b and \x0c are atom characters; columns count characters, not bytes
         ("(declare-sort U 0)(declare-const é U)(eliminate)(assert (= é g\x0bh))", "1:62: undeclared symbol g\x0bh"),
         ("(declare-sort U 0)(declare-const a\x0cb U)(eliminate)(assert (= a\x0cb é))", "1:66: undeclared symbol é"),
+        # Errors inside nested terms: arguments are read left to right before
+        # their application's arity is checked.
+        (TERM_DECLS + "(assert (= (g a (h a)) a))", "2:18: undeclared symbol h"),
+        (TERM_DECLS + "(assert (= (f (g a b)) (f (f c))))", "2:20: undeclared symbol b"),
+        (TERM_DECLS + "(assert (= a (f (f a a))))", "2:17: arity mismatch: f expects 1 arguments, got 2"),
+        (TERM_DECLS + "(assert (= (f (g (f a))) a))", "2:15: arity mismatch: g expects 2 arguments, got 1"),
+        (TERM_DECLS + "(assert (= (g a f) a))", "2:17: arity mismatch: f expects 1 arguments, got 0"),
+        (TERM_DECLS + "(assert (= (g (f) a a) a))", "2:15: arity mismatch: f expects 1 arguments, got 0"),
+        (TERM_DECLS + "(assert (= (f ()) a))", "2:15: empty term"),
+        (TERM_DECLS + "(assert (= (f ((f a) a)) a))", "2:16: expected a function name"),
+        (TERM_DECLS + "(assert (= a " + "(f " * 257 + "a" + ")" * 257 + "))", "2:782: term nested deeper than 256"),
+        (TERM_DECLS + "(assert (= a " + "(f " * 256 + "()" + ")" * 256 + "))", "2:782: empty term"),
     ],
 )
 def test_parse_error_line_and_column(text, message):
@@ -177,3 +192,56 @@ def test_parse_formula_let_shadowing():
     symbols = {"z": z, "w": w}
     f = parse_formula("(let ((x z)) (let ((x w)) (= x z)))", symbols)
     assert f == Eq(const(w), const(z))
+
+
+def formula_symbols_fga():
+    return {
+        "f": mk_symbol("f", 1, "function"),
+        "g": mk_symbol("g", 1, "function"),
+        "a": mk_symbol("a", 0, "parameter"),
+        "b": mk_symbol("b", 0, "parameter"),
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(= a b)",
+        "(and (= a b) (= (f a) b))",
+        "(or (= a b) (not (= (f a) a)))",
+        "(=> (= a b) (= (f a) (f b)) (= b a))",
+        "(let ((x (f a))) (= x b))",
+        "true",
+        "false",
+        "(not (and (= a b) (= b (f b))))",
+    ],
+)
+def test_parse_formula_not_is_negation(text):
+    symbols = formula_symbols_fga()
+    negated = parse_formula(f"(not {text})", symbols)
+    ok, witness = euf_equiv(negated, nnf(parse_formula(text, symbols), False))
+    assert ok, witness
+
+
+def test_parse_formula_reads_deep_terms():
+    symbols = formula_symbols_fga()
+    f = parse_formula("(= " + "(g " * 5000 + "a" + ")" * 5000 + " a)", symbols)
+    depth, t = 0, f.lhs
+    while t.args:
+        depth, t = depth + 1, t.args[0]
+    assert depth == 5000 and t is f.rhs
+
+
+def test_parse_formula_let_bound_argument_arity():
+    # The arguments are read under the let, so the arity is what is wrong.
+    with pytest.raises(InputError) as e:
+        parse_formula("(let ((x a)) (= (g x x) a))", formula_symbols_fga())
+    assert str(e.value) == "1:17: arity mismatch: g expects 1 arguments, got 2"
+
+
+def test_parse_formula_reads_negation_in_nnf():
+    symbols = formula_symbols_fga()
+    a, b = const(symbols["a"]), const(symbols["b"])
+    assert parse_formula("(not (= a b))", symbols) == Ne(a, b)
+    f = parse_formula("(not (and (= a b) (not (= a (f b)))))", symbols)
+    assert f == Or((Ne(a, b), Eq(a, intern(symbols["f"], (b,)))))

@@ -10,7 +10,7 @@ from test_preprocess import EX16, EX22, EX39
 from eufui import tableaux
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
-from eufui.formulas import FALSE, wrap_definitions
+from eufui.formulas import FALSE, expand_lets, wrap_definitions
 from eufui.parse import format_formula, parse, parse_formula
 from eufui.preprocess import PreprocessedInput, flatten
 from eufui.tableaux import compute_tableaux_ui
@@ -69,7 +69,7 @@ def test_shared_subterm_example_branches_and_golden_disjunct():
     problem, ui = run_text(EX39)
     assert ui.stats["branches_explored"] == 4
     assert len(ui.disjuncts) == 4
-    printed = [format_formula(d.formula()) for d in ui.disjuncts]
+    printed = [format_formula(d.formula) for d in ui.disjuncts]
     golden = (
         "(let ((y1 z0)) (let ((y2 y1)) "
         "(and (= z4 z3) (= z2 z1) (= (h y2) z0))))"
@@ -81,7 +81,7 @@ def test_shared_subterm_example_branches_and_golden_disjunct():
 
 def test_shared_subterm_example_unravelled_disjunct():
     _, ui = run_text(EX39)
-    printed = [format_formula(d.formula(unravel=True)) for d in ui.disjuncts]
+    printed = [format_formula(expand_lets(d.formula)) for d in ui.disjuncts]
     assert "(and (= z4 z3) (= z2 z1) (= (h z0) z0))" in printed
 
 
