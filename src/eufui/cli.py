@@ -7,6 +7,7 @@ as a single JSON line under --format stats-json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -30,7 +31,9 @@ STATS_KEYS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: argparse keeps no state between parses."""
     p = argparse.ArgumentParser(
         prog="euf-ui",
         description="Compute the uniform interpolant of an existentially "

@@ -3,15 +3,17 @@
 cc_sat decides conjunctions of ground (dis)equalities. euf_valid reduces
 validity to unsatisfiability and searches the lazy DNF of the query with
 closure-based pruning, so only cubes consistent so far are ever expanded.
-In that search one `assume` adds every undecided literal to the cube and
-calls cc_sat on it, so the cube cap counts cc_sat calls, and the deadline
-is checked at each one and before each let-expansion and NNF pass. The
-cube is the values of one ordered map from atom to the literal assumed.
+The search keeps one backtrackable closure (Nieuwenhuis & Oliveras, Inf. &
+Comp. 2007): one `assume` adds each undecided literal to the cube and to
+the closure, a merge or a recorded disequality, so the cube cap counts
+assumed literals, and the deadline is checked at each one and before each
+let-expansion and NNF pass. Every change the closure makes goes on its
+trail, and a failed branch undoes the trail to the mark taken before it.
 The closure never deletes a signature: a stale one holds a merged-away
-root, which no later `find` returns, so no lookup ever hits it. A union
-puts the root with the shorter use list under the other, so an application
-only ever moves to a use list at least twice as long (Downey, Sethi &
-Tarjan, JACM 1980).
+root, which no `find` returns until that merge is undone. A union puts the
+root with the shorter use list under the other, so an application only
+ever moves to a use list at least twice as long (Downey, Sethi & Tarjan,
+JACM 1980).
 """
 from __future__ import annotations
 
@@ -22,80 +24,150 @@ from .formulas import And, FFalse, FTrue, Or, expand_lets, mk_and, nnf
 from .terms import Eq, Ne, Term
 
 
+# Trail entry kinds; each entry records one change for `undo` to revert.
+_NODE, _SIG, _UNION, _LINK, _LIT = range(5)
+
+
 class CongruenceState:
-    """Union-find over term ids with a signature table and pending merges."""
+    """Backtrackable union-find over term ids with signatures and use lists.
+
+    Every change is logged on `trail`, and `undo(mark)` reverts to the state
+    the closure had when the trail held `mark` entries. `assume` drains the
+    pending merges before it returns, so no mark ever has merges pending.
+    `lits` are the literals assumed, in order, and `diseqs` the id pairs of
+    the disequalities among them.
+    """
 
     def __init__(self):
         self.parent: dict[int, int] = {}
         self.use: dict[int, list[Term]] = {}
         self.sig: dict[tuple, int] = {}
         self.pending: deque[tuple[int, int]] = deque()
+        self.lits: list = []
+        self.diseqs: list[tuple[int, int]] = []
+        self.trail: list[tuple] = []
 
     def find(self, i: int) -> int:
+        # Path compression is logged: an unlogged link would outlive the undo
+        # of the union it jumps over.
         parent = self.parent
         root = i
         while parent[root] != root:
             root = parent[root]
         while parent[i] != root:
+            self.trail.append((_LINK, i, parent[i]))
             parent[i], i = root, parent[i]
         return root
 
-    def add(self, t: Term) -> int:
-        if t.id in self.parent:
-            return self.find(t.id)
-        self.parent[t.id] = t.id
-        if t.args:
-            arg_reps = tuple(self.add(a) for a in t.args)
-            key = (t.head.uid, arg_reps)
-            other = self.sig.get(key)
-            if other is not None:
-                self.pending.append((t.id, other))
-            else:
-                self.sig[key] = t.id
-            for r in set(arg_reps):
-                self.use.setdefault(r, []).append(t)
-        return self.find(t.id)
-
-    def merge(self, a: Term, b: Term) -> None:
-        self.add(a)
-        self.add(b)
-        self.pending.append((a.id, b.id))
+    def add(self, t: Term) -> None:
+        """Enter t and its subterms, arguments first, on an explicit stack."""
+        parent, use, sig, trail = self.parent, self.use, self.sig, self.trail
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u.id in parent:
+                stack.pop()
+                continue
+            missing = [a for a in u.args if a.id not in parent]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            parent[u.id] = u.id
+            reps = tuple(self.find(a.id) for a in u.args)
+            key = None
+            if reps:
+                key = (u.head.uid, reps)
+                other = sig.get(key)
+                if other is None:
+                    sig[key] = u.id
+                else:
+                    self.pending.append((u.id, other))
+                    key = None
+                reps = set(reps)
+                for r in reps:
+                    use.setdefault(r, []).append(u)
+            trail.append((_NODE, u.id, key, reps))
 
     def close(self) -> None:
         """Drain pending merges until congruence-closed; idempotent."""
+        parent, use, sig, trail, find = self.parent, self.use, self.sig, self.trail, self.find
         while self.pending:
             i, j = self.pending.popleft()
-            ri, rj = self.find(i), self.find(j)
+            ri, rj = find(i), find(j)
             if ri == rj:
                 continue
-            if len(self.use.get(ri, ())) > len(self.use.get(rj, ())):
+            if len(use.get(ri, ())) > len(use.get(rj, ())):
                 ri, rj = rj, ri
-            self.parent[ri] = rj
+            parent[ri] = rj
+            moved = use.pop(ri, None)
+            trail.append((_UNION, ri, rj, moved))
+            if not moved:
+                continue
+            # rj's use list is at least as long, so it exists.
+            use[rj].extend(moved)
             # Re-canonicalize signatures of applications that mention ri. Their
-            # stale keys stay in sig: they hold ri, which is never a root again.
-            for app in self.use.pop(ri, []):
-                key = (app.head.uid, tuple(self.find(a.id) for a in app.args))
-                other = self.sig.get(key)
+            # stale keys stay in sig: they hold ri, which is not a root again
+            # unless this union is undone.
+            for app in moved:
+                key = (app.head.uid, tuple(find(a.id) for a in app.args))
+                other = sig.get(key)
                 if other is None:
-                    self.sig[key] = app.id
-                elif self.find(other) != self.find(app.id):
+                    sig[key] = app.id
+                    trail.append((_SIG, key))
+                elif find(other) != find(app.id):
                     self.pending.append((app.id, other))
-                self.use.setdefault(rj, []).append(app)
+
+    def assume(self, lit) -> bool:
+        """Add lit to the closure; False when a recorded disequality breaks."""
+        self.add(lit.lhs)
+        self.add(lit.rhs)
+        self.lits.append(lit)
+        self.trail.append((_LIT,))
+        if isinstance(lit, Ne):
+            self.diseqs.append((lit.lhs.id, lit.rhs.id))
+        else:
+            self.pending.append((lit.lhs.id, lit.rhs.id))
+        # Always close: a new application can queue a congruence merge.
+        self.close()
+        find = self.find
+        return all(find(i) != find(j) for i, j in self.diseqs)
+
+    def undo(self, mark: int) -> None:
+        """Revert every change logged since the trail held mark entries."""
+        parent, use, sig, trail = self.parent, self.use, self.sig, self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            kind = entry[0]
+            if kind == _SIG:
+                del sig[entry[1]]
+            elif kind == _UNION:
+                _, ri, rj, moved = entry
+                parent[ri] = ri
+                if moved:
+                    del use[rj][-len(moved):]
+                    use[ri] = moved
+            elif kind == _LINK:
+                parent[entry[1]] = entry[2]
+            elif kind == _NODE:
+                _, i, key, reps = entry
+                del parent[i]
+                if key is not None:
+                    del sig[key]
+                # No use list is ever empty, so one emptied here was made for i.
+                for r in reps:
+                    apps = use[r]
+                    apps.pop()
+                    if not apps:
+                        del use[r]
+            elif isinstance(self.lits.pop(), Ne):  # _LIT
+                self.diseqs.pop()
 
 
 def cc_sat(literals) -> bool:
     """Satisfiability of a conjunction of ground Eq/Ne literals."""
     state = CongruenceState()
-    diseqs = []
-    for lit in literals:
-        if isinstance(lit, Ne):
-            state.add(lit.lhs)
-            state.add(lit.rhs)
-            diseqs.append(lit)
-        else:
-            state.merge(lit.lhs, lit.rhs)
-    state.close()
-    return all(state.find(lit.lhs.id) != state.find(lit.rhs.id) for lit in diseqs)
+    return all(state.assume(lit) for lit in literals)
 
 
 def _find_sat_cube(f, budget: Budget):
@@ -105,30 +177,33 @@ def _find_sat_cube(f, budget: Budget):
     closure check each time, disjunctions are simplified against the
     current assignment, lone survivors propagate in unit rounds, and
     branching takes one disjunct at a time, learning its complement when a
-    branch fails. The assignment is one ordered map from an atom's key (its
-    pair of term ids) to the literal assumed for it; its values, in
-    insertion order, are the cube, and only a branch copies it.
+    branch fails. One closure serves the whole search; its literals are the
+    cube. The assignment maps an atom's key (its pair of term ids) to the
+    literal assumed for it. A failed branch undoes both to where they stood
+    before it.
     """
     stats = {"cubes_spent": 0}
+    closure = CongruenceState()
+    assign = {}
 
-    def value(lit, assign):
+    def value(lit):
         """True or False when identity or the assignment decides lit, else None."""
         if lit.lhs is lit.rhs:
             return isinstance(lit, Eq)
         got = assign.get(frozenset((lit.lhs.id, lit.rhs.id)))
         return None if got is None else isinstance(got, Eq) is isinstance(lit, Eq)
 
-    def assume(lit, assign) -> bool:
+    def assume(lit) -> bool:
         """False when lit is refuted or closes the cube; an undecided lit joins it, spending a cube."""
-        v = value(lit, assign)
+        v = value(lit)
         if v is not None:
             return v
         assign[frozenset((lit.lhs.id, lit.rhs.id))] = lit
         budget.count(stats, "cubes_spent")
         budget.check_time(stats)
-        return cc_sat(assign.values())
+        return closure.assume(lit)
 
-    def search(obligations, assign):
+    def search(obligations):
         while True:
             ors = []
             while obligations:
@@ -138,7 +213,7 @@ def _find_sat_cube(f, budget: Budget):
                 elif isinstance(g, Or):
                     ors.append(g)
                 elif isinstance(g, (Eq, Ne)):
-                    if not assume(g, assign):
+                    if not assume(g):
                         return None
                 elif isinstance(g, FFalse):
                     return None
@@ -149,7 +224,7 @@ def _find_sat_cube(f, budget: Budget):
             for g in ors:
                 parts = []
                 for p in g.parts:
-                    v = value(p, assign) if isinstance(p, (Eq, Ne)) else None
+                    v = value(p) if isinstance(p, (Eq, Ne)) else None
                     if v:
                         break
                     if v is None:
@@ -166,20 +241,24 @@ def _find_sat_cube(f, budget: Budget):
             obligations = units + [Or(tuple(p)) for p in pending]
 
         if not pending:
-            return list(assign.values())
+            return list(closure.lits)
         pending.sort(key=len)
         parts, rest = pending[0], [Or(tuple(p)) for p in pending[1:]]
         for p in parts:
-            res = search(rest + [p], dict(assign))
+            mark, assigned = len(closure.trail), len(assign)
+            res = search(rest + [p])
             if res is not None:
                 return res
+            closure.undo(mark)
+            while len(assign) > assigned:
+                assign.popitem()
             if isinstance(p, (Eq, Ne)):
                 complement = Eq(p.lhs, p.rhs) if isinstance(p, Ne) else Ne(p.lhs, p.rhs)
-                if not assume(complement, assign):
+                if not assume(complement):
                     return None
         return None
 
-    return search([f], {})
+    return search([f])
 
 
 def euf_valid(hyp, concl, budget: Budget = Budget()):

@@ -33,8 +33,8 @@ from .formulas import (
 )
 from .terms import Eq, Ne, Symbol, Term, intern, mk_symbol
 
-# Deepest accepted application nesting in a problem term; the oracle's
-# CongruenceState.add and term_substitute recurse on term depth.
+# Deepest accepted application nesting in a problem term; term_substitute
+# recurses on term depth.
 MAX_TERM_DEPTH = 256
 
 
@@ -280,16 +280,31 @@ def parse_formula(text: str, symbols: dict[str, Symbol]):
 
 
 def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]):
-    if isinstance(node.value, str):
-        if node.value == "true":
-            return TRUE
-        if node.value == "false":
-            return FALSE
-        raise InputError(f"expected a formula, got {node.value}", node.line, node.col)
-    if not node.value:
-        raise InputError("empty formula", node.line, node.col)
-    head = _atom(node.value[0], "a connective")
-    rest = node.value[1:]
+    # A let body is read in this loop, not by recursion: the printer nests
+    # one let per definition.
+    while True:
+        if isinstance(node.value, str):
+            if node.value == "true":
+                return TRUE
+            if node.value == "false":
+                return FALSE
+            raise InputError(f"expected a formula, got {node.value}", node.line, node.col)
+        if not node.value:
+            raise InputError("empty formula", node.line, node.col)
+        head = _atom(node.value[0], "a connective")
+        rest = node.value[1:]
+        if head != "let":
+            break
+        if len(rest) != 2 or not isinstance(rest[0].value, list):
+            raise InputError("let takes bindings and a body", node.line, node.col)
+        new_env = dict(env)
+        for binding in rest[0].value:
+            if not isinstance(binding.value, list) or len(binding.value) != 2:
+                raise InputError("malformed let binding", binding.line, binding.col)
+            name = _atom(binding.value[0], "a bound name")
+            # bindings are evaluated in the outer environment, SMT-LIB style
+            new_env[name] = _parse_term(binding.value[1], symbols, env)
+        node, env = rest[1], new_env
     if head == "and":
         return mk_and([_parse_formula(sub, symbols, env) for sub in rest])
     if head == "or":
@@ -310,17 +325,6 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
         if len(rest) != 2:
             raise InputError("= takes two terms", node.line, node.col)
         return mk_eq(_parse_term(rest[0], symbols, env), _parse_term(rest[1], symbols, env))
-    if head == "let":
-        if len(rest) != 2 or not isinstance(rest[0].value, list):
-            raise InputError("let takes bindings and a body", node.line, node.col)
-        new_env = dict(env)
-        for binding in rest[0].value:
-            if not isinstance(binding.value, list) or len(binding.value) != 2:
-                raise InputError("malformed let binding", binding.line, binding.col)
-            name = _atom(binding.value[0], "a bound name")
-            # bindings are evaluated in the outer environment, SMT-LIB style
-            new_env[name] = _parse_term(binding.value[1], symbols, env)
-        return _parse_formula(rest[1], symbols, new_env)
     raise InputError(f"unknown connective {head}", node.line, node.col)
 
 

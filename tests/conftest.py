@@ -1,5 +1,5 @@
 """Shared helpers: tiny signature factory, randomized instance builders, a
-fake clock for the run budget and a counter of the oracle's closure calls."""
+fake clock for the run budget and a recorder of the oracle's cubes."""
 from __future__ import annotations
 
 import random
@@ -28,17 +28,21 @@ def counting_clock(monkeypatch):
 
 
 @pytest.fixture
-def cc_sat_calls(monkeypatch):
-    """The oracle's cc_sat, counted: one entry per call, the cube's length."""
-    calls = []
-    original = euf.cc_sat
+def assumed_cubes(monkeypatch):
+    """The oracle closure's assume, recorded: one entry per call, the cube after it.
 
-    def counting(literals):
-        calls.append(len(literals))
-        return original(literals)
+    The cube search spends one cube per call; cc_sat makes one per literal.
+    """
+    cubes = []
+    original = euf.CongruenceState.assume
 
-    monkeypatch.setattr(euf, "cc_sat", counting)
-    return calls
+    def recording(self, lit):
+        ok = original(self, lit)
+        cubes.append(list(self.lits))
+        return ok
+
+    monkeypatch.setattr(euf.CongruenceState, "assume", recording)
+    return cubes
 
 
 class Sig:
@@ -112,6 +116,20 @@ def doubling_chain(n):
     lines += [f"(assert (= (f{i + 1} e{i} e{i}) e{i + 1}))" for i in range(1, n)]
     lines += [f"(assert (= (h e{n}) z0))", "(compute-ui)"]
     return "\n".join(lines)
+
+
+def unary_chain(n):
+    """y1 := f(z), y_{i+1} := f(y_i) and the body y_n = z."""
+    s = Sig()
+    f = s.fn("f", 1)
+    z = s.params("z")[0]
+    entries = []
+    prev = z
+    for i in range(1, n + 1):
+        y = mk_symbol(f"y{i}", 0, "defined")
+        entries.append((y, intern(f, (prev,))))
+        prev = const(y)
+    return f, z, entries, Eq(prev, z)
 
 
 def linear_chain(n):

@@ -182,6 +182,21 @@ def test_equivalence_check_requires_both_algorithms(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, EX22)
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(capsys, ["--algorithm", "both", "--verify", "equivalence", path])
+    assert code == 0 and out.splitlines()[-1] == "equivalent"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--algorithm", "both", "--max-cubes", "many", path])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, [path])
+    assert code == 0 and len(out.splitlines()) == 1
+    args = cli.build_parser().parse_args([path])
+    assert (args.algorithm, args.verify, args.max_cubes) == ("conditional", "off", errors.Budget.max_cubes)
+
+
 # Exit 3: every resource cap maps to the same exit code.
 
 def test_branch_cap_exits_3(tmp_path, capsys):
@@ -317,6 +332,20 @@ def test_long_definition_chain_under_tableaux(tmp_path, capsys, flags):
         assert out.count("(let ((y") == 500
 
 
+def test_long_definition_chain_verifies(tmp_path, capsys):
+    # The oracle adds f^500(z) to its closure without recursing.
+    path = write(tmp_path, linear_chain(500))
+    code, out, err = run_cli(capsys, ["--verify", "residue", path])
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.count("(let ((y") == 500
+    code, out, err = run_cli(capsys, ["--algorithm", "both", "--verify", "equivalence", path])
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.count("(let ((y") == 1000
+    assert out.splitlines()[-1] == "equivalent"
+
+
 # Every demo input runs both engines to an oracle-checked agreement.
 
 @pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)
@@ -330,10 +359,10 @@ def test_demo_input_engines_agree(path, capsys):
     "name, calls",
     [("sixteen_branches.smt", 397), ("nested_shared.smt", 13), ("three_chains.smt", 183)],
 )
-def test_equivalence_check_cc_sat_calls(name, calls, capsys, cc_sat_calls):
+def test_equivalence_check_cubes_spent(name, calls, capsys, assumed_cubes):
     code, _, _ = run_cli(capsys, ["--algorithm", "both", "--verify", "equivalence", demo(name)])
     assert code == 0
-    assert len(cc_sat_calls) == calls
+    assert len(assumed_cubes) == calls
 
 
 # Stats channel: fixed key set, sorted JSON, no timing in machine output.

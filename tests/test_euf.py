@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Sig, brute_force_sat, random_flat_instance
-from eufui import euf
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import CongruenceState, cc_sat, euf_equiv, euf_valid
 from eufui.formulas import FALSE, TRUE, And, Implies, Let, Or, mk_and, mk_or
@@ -49,9 +48,8 @@ def test_cc_close_idempotent():
     f = s.fn("f", 1)
     a, b, c = s.params("a", "b", "c")
     st_ = CongruenceState()
-    st_.merge(intern(f, (a,)), b)
-    st_.merge(a, c)
-    st_.close()
+    assert st_.assume(Eq(intern(f, (a,)), b))
+    assert st_.assume(Eq(a, c))
     snapshot = {i: st_.find(i) for i in list(st_.parent)}
     st_.close()
     assert snapshot == {i: st_.find(i) for i in list(st_.parent)}
@@ -86,6 +84,44 @@ def test_cc_matches_brute_force_hypothesis(seed):
         nlits=rng.randint(1, 8),
     )
     assert cc_sat(lits) == brute_force_sat(consts, lits)
+
+
+def closure_snapshot(state):
+    """Copies of everything undo must restore."""
+    use = {r: list(apps) for r, apps in state.use.items()}
+    return dict(state.parent), use, dict(state.sig), list(state.diseqs), list(state.lits)
+
+
+def test_closure_undo_restores_marked_state_seeded():
+    # Random runs of assume, mark and undo: the verdict always matches cc_sat
+    # of the literals still assumed, and an undo restores the marked state.
+    rng = random.Random(20261019)
+    undos = 0
+    for _ in range(150):
+        _, _, lits = random_flat_instance(
+            rng, nconsts=rng.randint(2, 6), nfuns=rng.randint(1, 2), nlits=rng.randint(4, 12)
+        )
+        state = CongruenceState()
+        marks = [(0, closure_snapshot(state))]
+        for _ in range(40):
+            step = rng.random()
+            if step < 0.6:
+                lit = rng.choice(lits)
+                assert state.assume(lit) == cc_sat(state.lits)
+                assert not state.pending
+            elif step < 0.8:
+                marks.append((len(state.trail), closure_snapshot(state)))
+            else:
+                k = rng.randrange(len(marks))
+                mark, snapshot = marks[k]
+                del marks[k + 1:]
+                state.undo(mark)
+                undos += 1
+                assert len(state.trail) == mark
+                assert closure_snapshot(state) == snapshot
+                find = state.find
+                assert all(find(i) != find(j) for i, j in state.diseqs) == cc_sat(state.lits)
+    assert undos > 1000
 
 
 def test_euf_valid_residue_example():
@@ -188,30 +224,23 @@ def test_euf_valid_true_and_false_edges():
 
 # The cube search's order, pinned by its closure calls.
 
-def test_many_cube_query_cc_sat_calls(cc_sat_calls):
+def test_many_cube_query_cubes_spent(assumed_cubes):
     big, goal = many_cube_query()
     ok, cube = euf_valid(big, goal)
+    assert len(assumed_cubes) == 8
     assert not ok and cc_sat(cube)
-    assert len(cc_sat_calls) == 8
 
 
-def test_search_assumes_each_atom_once_per_cube(monkeypatch):
+def test_search_assumes_each_atom_once_per_cube(assumed_cubes):
     # Both disjuncts are one atom. Once a=b fails and a!=b is learned, b=a is
     # refuted by the assignment, and its complement is already assumed.
     s = Sig()
     f = s.fn("f", 1)
     a, b = s.params("a", "b")
-    cubes = []
-
-    def recording(literals):
-        cubes.append(list(literals))
-        return cc_sat(cubes[-1])
-
-    monkeypatch.setattr(euf, "cc_sat", recording)
     hyp = And((Ne(intern(f, (a,)), intern(f, (b,))), Or((Eq(a, b), Eq(b, a)))))
     assert euf_valid(hyp, FALSE) == (True, None)
-    assert [len(c) for c in cubes] == [1, 2, 2]
-    for cube in cubes:
+    assert [len(c) for c in assumed_cubes] == [1, 2, 2]
+    for cube in assumed_cubes:
         assert len({frozenset((lit.lhs, lit.rhs)) for lit in cube}) == len(cube)
 
 
@@ -239,15 +268,19 @@ def dnf(f, positive=True):
     return cubes
 
 
-def test_euf_valid_matches_dnf_enumeration_seeded(cc_sat_calls):
+def test_euf_valid_matches_dnf_enumeration_seeded(assumed_cubes):
     rng = random.Random(20261018)
-    verdicts = []
+    queries = []
     for _ in range(300):
         _, _, atoms = random_flat_instance(
             rng, nconsts=rng.randint(2, 4), nfuns=1, nlits=rng.randint(1, 8)
         )
         hyp, concl = random_nnf(rng, atoms, 3), random_nnf(rng, atoms, 3)
-        ok, cube = euf_valid(hyp, concl)
+        queries.append((hyp, concl, *euf_valid(hyp, concl)))
+    # Counted before the checks below, whose cc_sat calls assume too.
+    assert len(assumed_cubes) == 558
+    verdicts = []
+    for hyp, concl, ok, cube in queries:
         cubes = [h + c for h in dnf(hyp) for c in dnf(concl, positive=False)]
         want = not any(cc_sat(c) for c in cubes)
         assert ok == want
@@ -255,4 +288,3 @@ def test_euf_valid_matches_dnf_enumeration_seeded(cc_sat_calls):
             assert cc_sat(cube)
         verdicts.append(ok)
     assert sum(verdicts) == 158
-    assert len(cc_sat_calls) == 558

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import unary_chain
 from eufui.errors import InputError
 from eufui.euf import euf_equiv
 from eufui.formulas import FALSE, TRUE, Implies, Let, Or, mk_and, mk_or, nnf
@@ -166,6 +167,18 @@ def test_format_and_reparse_formula_round_trip():
     back = parse_formula(text, symbols)
     ok, _ = euf_equiv(formula, back)
     assert ok
+
+
+def test_thousand_definition_interpolant_reads_back():
+    # The printer nests one let per definition; reading them back must not
+    # recurse once per let.
+    f, z, entries, body = unary_chain(1000)
+    text = format_formula(Let(tuple(entries), body))
+    assert text.count("(let ((y") == 1000
+    t = z
+    for _ in range(1000):
+        t = intern(f, (t,))
+    assert parse_formula(text, {"f": f, "z": z.head}) == Eq(t, z)
 
 
 def test_format_true_false():

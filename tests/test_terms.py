@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from conftest import Sig
+from conftest import Sig, unary_chain
 from eufui.euf import euf_valid
 from eufui import formulas, terms
 from eufui.formulas import FALSE, TRUE, And, Let, Or, expand_lets, mk_and, mk_or, wrap_definitions
@@ -114,20 +114,6 @@ def test_unravel_matches_exists_semantics():
     # backward: substituting the definitional witnesses for the y's
     ok, _ = euf_valid(flat_form, expand_lets(Let(tuple(d), quantified_form)))
     assert ok
-
-
-def unary_chain(n):
-    """y1 := f(z), y_{i+1} := f(y_i) and the body y_n = z."""
-    s = Sig()
-    f = s.fn("f", 1)
-    z = s.params("z")[0]
-    entries = []
-    prev = z
-    for i in range(1, n + 1):
-        y = mk_symbol(f"y{i}", 0, "defined")
-        entries.append((y, intern(f, (prev,))))
-        prev = const(y)
-    return f, z, entries, Eq(prev, z)
 
 
 def test_expand_lets_is_one_pass(monkeypatch):
