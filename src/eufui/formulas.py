@@ -190,6 +190,8 @@ def formula_symbols(f: Formula) -> set[Symbol]:
 
 def wrap_definitions(entries, body: Formula) -> Formula:
     """One let over body holding, in list order, the definitions it actually reaches."""
+    if not entries:
+        return body
     syms = formula_symbols(body)
     for y, t in reversed(entries):
         if y in syms:

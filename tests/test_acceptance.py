@@ -1,6 +1,7 @@
 """One test per acceptance criterion: exact counts, oracle checks, budgets."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -25,7 +26,7 @@ from eufui.conditional import compute_conditional_ui
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
 from eufui.formulas import fsize, mk_and
-from eufui.parse import Problem, parse
+from eufui.parse import Problem, format_formula, parse
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
@@ -227,6 +228,20 @@ def test_criterion_10_strategy_confluence(corpus):
     for i, (_, tab, rev, _) in enumerate(corpus["rows"]):
         ok, witness = euf_equiv(tab.formula(), rev.formula())
         assert ok, (i, witness)
+
+
+# sha256 over every corpus row's printed default and reversed tableaux
+# formulas and their stats.
+CORPUS_TABLEAUX_DIGEST = "d75ebc17542634e1786e4d55b00f2931403eff5b4e6c10f25b8d6655652281a7"
+
+
+def test_corpus_tableaux_output_pinned(corpus):
+    h = hashlib.sha256()
+    for _, tab, rev, _ in corpus["rows"]:
+        for ui in (tab, rev):
+            h.update(format_formula(ui.formula()).encode() + b"\n")
+            h.update(json.dumps(ui.stats, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == CORPUS_TABLEAUX_DIGEST
 
 
 def test_criterion_11_application_merges_persist(corpus):

@@ -1,7 +1,9 @@
 """Branching elimination: worked inputs, counts, invariants, strategies."""
 from __future__ import annotations
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from conftest import random_problem
@@ -10,7 +12,7 @@ from test_preprocess import EX16, EX22, EX39
 from eufui import tableaux
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
-from eufui.formulas import FALSE, expand_lets, wrap_definitions
+from eufui.formulas import FALSE, expand_lets, mk_and, wrap_definitions
 from eufui.parse import format_formula, parse, parse_formula
 from eufui.preprocess import PreprocessedInput, flatten
 from eufui.tableaux import compute_tableaux_ui
@@ -172,6 +174,43 @@ def shared_evar_text(k):
     return f"(declare-sort U 0)(declare-fun f (U U) U)(declare-const e U){decls}(eliminate e){lits}"
 
 
+# sha256 of the printed disjunction of shared_evar_text(6), then
+# (branches_explored, rule4_firings, rule_apps), per engine setting.
+SHARED6_PINS = {
+    "default": ("715552b83c317bea9f7f1d7beb3a5a0d21da4af1268c1210e3de276e29a2c8d4", 203, 202,
+                {"1.0": 0, "1.i": 0, "1.ii": 0, "2": 0, "3": 202, "4": 202}),
+    "reversed": ("37b058e8f98aa186ddfe16ba7799d030a0d582c26616412dfd662fc31ec8d838", 720, 719,
+                 {"1.0": 0, "1.i": 0, "1.ii": 0, "2": 0, "3": 719, "4": 719}),
+    "semantic": ("715552b83c317bea9f7f1d7beb3a5a0d21da4af1268c1210e3de276e29a2c8d4", 203, 202,
+                 {"1.0": 0, "1.i": 0, "1.ii": 0, "2": 0, "3": 202, "4": 202}),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SHARED6_PINS))
+def test_shared_evar_output_pinned(setting):
+    kwargs = {"reversed": {"strategy": "reversed"}, "semantic": {"prune": "semantic"}}.get(setting, {})
+    ui = compute_tableaux_ui(flatten(parse(shared_evar_text(6))), **kwargs)
+    digest = hashlib.sha256(format_formula(ui.formula()).encode()).hexdigest()
+    stats = ui.stats
+    assert (digest, stats["branches_explored"], stats["rule4_firings"], stats["rule_apps"]) == SHARED6_PINS[setting]
+
+
+SIXTEEN = (Path(__file__).resolve().parent.parent / "demos" / "inputs" / "sixteen_branches.smt").read_text()
+
+
+@pytest.mark.parametrize("text", [EX16, SIXTEEN], ids=["EX16", "sixteen_branches"])
+def test_disjuncts_own_their_snapshots(text):
+    _, ui = run_text(text)
+    assert len(ui.disjuncts) > 1
+    for d in ui.disjuncts:
+        assert wrap_definitions(d.delta, mk_and(d.phi)) == d.formula
+    before = [(list(d.delta), list(d.phi)) for d in ui.disjuncts]
+    first = ui.disjuncts[0]
+    first.phi.append(first.phi[0])
+    first.delta.append(first.delta[0] if first.delta else None)
+    assert [(list(d.delta), list(d.phi)) for d in ui.disjuncts[1:]] == before[1:]
+
+
 def test_timeout_reports_work_done(counting_clock):
     pre = flatten(parse(shared_evar_text(7)))
     assert compute_tableaux_ui(pre).stats["branches_explored"] == 877
@@ -230,8 +269,6 @@ def test_residue_on_random_corpus():
         problem = random_problem(rng)
         if not problem.body:
             continue
-        from eufui.formulas import mk_and
-
         body = mk_and(problem.body)
         ui = compute_tableaux_ui(flatten(problem))
         ok, witness = euf_valid(body, ui.formula())
