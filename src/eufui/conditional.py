@@ -280,8 +280,7 @@ def _clause_trivial(c: HornClause, mapping: dict) -> bool:
     ante, cq = _substituted(c, mapping)
     if cq.lhs is cq.rhs:
         return True
-    goal = {cq.lhs.id, cq.rhs.id}
-    return any({a.lhs.id, a.rhs.id} == goal for a in ante)
+    return any(a.atom == cq.atom for a in ante)
 
 
 def _clause_formula(c: HornClause, mapping: dict):

@@ -9,11 +9,13 @@ the closure, a merge or a recorded disequality, so the cube cap counts
 assumed literals, and the deadline is checked at each one and before each
 let-expansion and NNF pass. Every change the closure makes goes on its
 trail, and a failed branch undoes the trail to the mark taken before it.
-The closure never deletes a signature: a stale one holds a merged-away
-root, which no `find` returns until that merge is undone. A union puts the
-root with the shorter use list under the other, so an application only
-ever moves to a use list at least twice as long (Downey, Sethi & Tarjan,
-JACM 1980).
+The search's assignment is keyed by each literal's interned `atom`, so
+deciding a = b also decides b = a, a != b and b != a, each with one dict
+lookup (Nieuwenhuis, Oliveras & Tinelli, JACM 2006). The closure never
+deletes a signature: a stale one holds a merged-away root, which no `find`
+returns until that merge is undone. A union puts the root with the shorter
+use list under the other, so an application only ever moves to a use list
+at least twice as long (Downey, Sethi & Tarjan, JACM 1980).
 """
 from __future__ import annotations
 
@@ -174,61 +176,69 @@ def _find_sat_cube(f, budget: Budget):
     """A cc-satisfiable cube of the NNF formula f, or None.
 
     Literal-branching search: atoms are absorbed into the cube with a
-    closure check each time, disjunctions are simplified against the
-    current assignment, lone survivors propagate in unit rounds, and
-    branching takes one disjunct at a time, learning its complement when a
+    closure check each time, pending disjunctions (plain lists of their
+    undecided parts) are simplified against the current assignment, lone
+    survivors propagate in unit rounds, and branching takes one part of the
+    shortest pending disjunction at a time, learning its complement when a
     branch fails. One closure serves the whole search; its literals are the
-    cube. The assignment maps an atom's key (its pair of term ids) to the
-    literal assumed for it. A failed branch undoes both to where they stood
-    before it.
+    cube. The assignment maps a literal's `atom`, shared by both kinds and
+    both orientations, to the literal assumed for it. A failed branch
+    undoes both to where they stood before it.
     """
     stats = {"cubes_spent": 0}
     closure = CongruenceState()
     assign = {}
-
-    def value(lit):
-        """True or False when identity or the assignment decides lit, else None."""
-        if lit.lhs is lit.rhs:
-            return isinstance(lit, Eq)
-        got = assign.get(frozenset((lit.lhs.id, lit.rhs.id)))
-        return None if got is None else isinstance(got, Eq) is isinstance(lit, Eq)
+    decided = assign.get
 
     def assume(lit) -> bool:
         """False when lit is refuted or closes the cube; an undecided lit joins it, spending a cube."""
-        v = value(lit)
-        if v is not None:
-            return v
-        assign[frozenset((lit.lhs.id, lit.rhs.id))] = lit
+        if lit.lhs is lit.rhs:
+            return lit.__class__ is Eq
+        got = decided(lit.atom)
+        if got is not None:
+            return got.__class__ is lit.__class__
+        assign[lit.atom] = lit
         budget.count(stats, "cubes_spent")
         budget.check_time(stats)
         return closure.assume(lit)
 
-    def search(obligations):
-        while True:
-            ors = []
-            while obligations:
-                g = obligations.pop()
-                if isinstance(g, And):
-                    obligations.extend(g.parts)
-                elif isinstance(g, Or):
-                    ors.append(g)
-                elif isinstance(g, (Eq, Ne)):
-                    if not assume(g):
-                        return None
-                elif isinstance(g, FFalse):
-                    return None
-                elif not isinstance(g, FTrue):
-                    raise TypeError(f"unexpected node in NNF search: {g!r}")
+    def absorb(obligations, ors) -> bool:
+        """Assume the literals under obligations, last first, and append their
+        disjunctions' parts to ors; False on a conflict."""
+        while obligations:
+            g = obligations.pop()
+            kind = g.__class__
+            if kind is And:
+                obligations.extend(g.parts)
+            elif kind is Or:
+                ors.append(g.parts)
+            elif kind is Eq or kind is Ne:
+                if not assume(g):
+                    return False
+            elif kind is FFalse:
+                return False
+            elif kind is not FTrue:
+                raise TypeError(f"unexpected node in NNF search: {g!r}")
+        return True
 
+    def search(ors):
+        while True:
             units, pending = [], []
             for g in ors:
                 parts = []
-                for p in g.parts:
-                    v = value(p) if isinstance(p, (Eq, Ne)) else None
-                    if v:
-                        break
-                    if v is None:
-                        parts.append(p)
+                for p in g:
+                    kind = p.__class__
+                    if kind is Eq or kind is Ne:
+                        if p.lhs is p.rhs:
+                            if kind is Eq:
+                                break
+                            continue
+                        got = decided(p.atom)
+                        if got is not None:
+                            if got.__class__ is kind:
+                                break
+                            continue
+                    parts.append(p)
                 else:
                     if not parts:
                         return None
@@ -238,27 +248,36 @@ def _find_sat_cube(f, budget: Budget):
                         pending.append(parts)
             if not units:
                 break
-            obligations = units + [Or(tuple(p)) for p in pending]
+            # The scan order is part of the pinned search order: clauses
+            # carried over come last first, ahead of those the units bring,
+            # and a branch's own clauses come ahead of the carried ones.
+            pending.reverse()
+            if not absorb(units, pending):
+                return None
+            ors = pending
 
         if not pending:
             return list(closure.lits)
         pending.sort(key=len)
-        parts, rest = pending[0], [Or(tuple(p)) for p in pending[1:]]
+        parts, rest = pending[0], pending[:0:-1]
         for p in parts:
             mark, assigned = len(closure.trail), len(assign)
-            res = search(rest + [p])
-            if res is not None:
-                return res
+            branch = []
+            if absorb([p], branch):
+                res = search(branch + rest)
+                if res is not None:
+                    return res
             closure.undo(mark)
             while len(assign) > assigned:
                 assign.popitem()
-            if isinstance(p, (Eq, Ne)):
-                complement = Eq(p.lhs, p.rhs) if isinstance(p, Ne) else Ne(p.lhs, p.rhs)
-                if not assume(complement):
+            kind = p.__class__
+            if kind is Eq or kind is Ne:
+                if not assume((Ne if kind is Eq else Eq)(p.lhs, p.rhs)):
                     return None
         return None
 
-    return search([f])
+    ors = []
+    return search(ors) if absorb([f], ors) else None
 
 
 def euf_valid(hyp, concl, budget: Budget = Budget()):

@@ -7,7 +7,7 @@ matching rule in a fixed priority order (1.0, 1.i, 1.ii, 2, 3, 4), scanning
 psi forward or, under the reversed strategy, backward. Each literal is
 classified once, when it enters psi, so a rule's first literal is found by
 searching a list of small codes; rule 4's blocking test is a lookup in the
-id pairs of phi's disequalities.
+atoms of phi's disequalities.
 
 Only the splitting rule branches. It takes a mark on the trail, the log of
 every change to psi, and applies its first successor; when that subtree is
@@ -38,6 +38,7 @@ from .terms import (
     lit_substitute,
     mk_symbol,
     orient,
+    pair_key,
     term_is_efree,
 )
 
@@ -110,7 +111,7 @@ class _Branch:
         # One (method, position, literal) per psi change: the call that undoes it.
         self.trail = []
         self.in_phi = {}  # phi literal -> copies
-        self.apart = {}  # id pair of a phi disequality -> copies
+        self.apart = {}  # atom of a phi disequality -> copies
         self.lhs_count = {}  # left side of a psi application equation -> copies
         self.shared = 0  # copies past the first, over all left sides; rule 1.i applies when > 0
         self._code_of = {}
@@ -169,7 +170,7 @@ class _Branch:
     def _count_phi(self, lit, step: int) -> None:
         _tally(self.in_phi, lit, step)
         if isinstance(lit, Ne):
-            _tally(self.apart, frozenset((lit.lhs.id, lit.rhs.id)), step)
+            _tally(self.apart, lit.atom, step)
 
     def split(self, i: int, j: int, diffs, k: int) -> None:
         """Apply rule 4's successor k to the pair psi[i], psi[j] with these argument diffs.
@@ -240,13 +241,13 @@ def compute_tableaux_ui(
         return codes.index(code) if forward else len(codes) - 1 - codes[::-1].index(code)
 
     # (t, u) -> None when rule 4 cannot split t and u, else their argument
-    # diffs with each diff's id pair.
+    # diffs with each diff's `pair_key`.
     splits: dict = {}
 
     def split_of(t, u):
         if (t, u) not in splits:
             diffs = compatible(t, u) if t is not u else None
-            splits[t, u] = diffs and (diffs, [frozenset((a.id, b.id)) for a, b in diffs])
+            splits[t, u] = diffs and (diffs, [pair_key(a, b) for a, b in diffs])
         return splits[t, u]
 
     def fire(b: _Branch):

@@ -29,6 +29,8 @@ class Symbol:
     uid: int
     # Applications of this symbol, keyed by their argument ids.
     terms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Literals whose left side has this head, keyed by (kind, lhs id, rhs id).
+    lits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def rank(self) -> tuple[int, int]:
         return (_KIND_RANK[self.kind], self.uid)
@@ -131,25 +133,50 @@ def term_tree_size(t: Term, memo: dict | None = None) -> int:
     return memo[t.id]
 
 
+def pair_key(a: Term, b: Term) -> int:
+    """The same int for (a, b) and (b, a), and a different one for any other pair."""
+    lo, hi = (a.id, b.id) if a.id < b.id else (b.id, a.id)
+    return hi * (hi + 1) // 2 + lo
+
+
 # ---------------------------------------------------------------------------
 # Literals: ground equations and disequations. The flat language of both
 # engines uses three shapes of them: f(a1..ah) = a (an Eq whose left side is
-# the one application), a = b and a != b, every operand 0-ary.
+# the application), a = b and a != b, every operand 0-ary. Literals are
+# hash-consed like terms, in a table on the left side's head symbol, so two
+# literals are equal only when identical and are freed with their problem.
+# `atom` is the `pair_key` of the two sides, so a = b, b = a, a != b and
+# b != a share it.
 
 
-@dataclass(frozen=True)
-class Eq:
-    lhs: Term
-    rhs: Term
+class _Literal:
+    __slots__ = ("lhs", "rhs", "atom", "__weakref__")
+
+    def __new__(cls, lhs: Term, rhs: Term):
+        key = (cls, lhs.id, rhs.id)
+        table = lhs.head.lits
+        lit = table.get(key)
+        if lit is None:
+            lit = table[key] = object.__new__(cls)
+            for name, value in (("lhs", lhs), ("rhs", rhs), ("atom", pair_key(lhs, rhs))):
+                object.__setattr__(lit, name, value)
+        return lit
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Eq(_Literal):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"{self.lhs!r}={self.rhs!r}"
 
 
-@dataclass(frozen=True)
-class Ne:
-    lhs: Term
-    rhs: Term
+class Ne(_Literal):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"{self.lhs!r}!={self.rhs!r}"
@@ -233,7 +260,7 @@ def compatible(t: Term, u: Term):
             continue
         if not (term_is_efree(a) and term_is_efree(b)):
             return None
-        key = frozenset((a.id, b.id))
+        key = pair_key(a, b)
         if key not in seen:
             seen.add(key)
             diffs.append((a, b))

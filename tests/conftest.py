@@ -118,6 +118,13 @@ def doubling_chain(n):
     return "\n".join(lines)
 
 
+def shared_evar_text(k):
+    """f(e, a_i) = b_i for i < k: every pair of applications can split."""
+    decls = "".join(f"(declare-const a{i} U)(declare-const b{i} U)" for i in range(k))
+    lits = "".join(f"(assert (= (f e a{i}) b{i}))" for i in range(k))
+    return f"(declare-sort U 0)(declare-fun f (U U) U)(declare-const e U){decls}(eliminate e){lits}"
+
+
 def unary_chain(n):
     """y1 := f(z), y_{i+1} := f(y_i) and the body y_n = z."""
     s = Sig()

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Sig, brute_force_sat, random_flat_instance
+from conftest import Sig, brute_force_sat, random_flat_instance, shared_evar_text
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import CongruenceState, cc_sat, euf_equiv, euf_valid
 from eufui.formulas import FALSE, TRUE, And, Implies, Let, Or, mk_and, mk_or
+from eufui.parse import parse
+from eufui.preprocess import flatten
+from eufui.tableaux import compute_tableaux_ui
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
 
@@ -242,6 +245,16 @@ def test_search_assumes_each_atom_once_per_cube(assumed_cubes):
     assert [len(c) for c in assumed_cubes] == [1, 2, 2]
     for cube in assumed_cubes:
         assert len({frozenset((lit.lhs, lit.rhs)) for lit in cube}) == len(cube)
+
+
+def test_shared_evar_residue_cubes_spent(assumed_cubes):
+    # The CLI's residue check of the tableaux result: 203 clauses, one per
+    # negated disjunct, where the pins above come from queries of at most 8
+    # literals.
+    problem = parse(shared_evar_text(6))
+    tab = compute_tableaux_ui(flatten(problem))
+    assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
+    assert len(assumed_cubes) == 693
 
 
 def random_nnf(rng, atoms, depth):

@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import random_problem
+from conftest import random_problem, shared_evar_text
 from test_preprocess import EX16, EX22, EX39
 
 from eufui import tableaux
@@ -165,13 +165,6 @@ def test_branch_cap():
     problem = parse(EX16)
     with pytest.raises(ResourceLimitError):
         compute_tableaux_ui(flatten(problem), budget=Budget(max_branches=4))
-
-
-def shared_evar_text(k):
-    """f(e, a_i) = b_i for i < k: every pair of applications can split."""
-    decls = "".join(f"(declare-const a{i} U)(declare-const b{i} U)" for i in range(k))
-    lits = "".join(f"(assert (= (f e a{i}) b{i}))" for i in range(k))
-    return f"(declare-sort U 0)(declare-fun f (U U) U)(declare-const e U){decls}(eliminate e){lits}"
 
 
 # sha256 of the printed disjunction of shared_evar_text(6), then

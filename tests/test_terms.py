@@ -54,10 +54,26 @@ def test_terms_are_freed_with_their_problem():
         "(eliminate e)(assert (= (f e) z))"
     )
     f, z = problem.symbols["f"], problem.symbols["z"]
-    ref = weakref.ref(intern(f, (intern(f, (const(z),)),)))
-    del problem, f, z
+    fz = intern(f, (const(z),))
+    refs = [weakref.ref(x) for x in (intern(f, (fz,)), Eq(fz, const(z)), Ne(const(z), fz))]
+    del problem, f, z, fz
     gc.collect()
-    assert ref() is None
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_literals_are_interned():
+    s = Sig()
+    e0, e1 = s.evars("e0", "e1")
+    a, b = s.params("a", "b")
+    assert Eq(a, b) is Eq(a, b)
+    assert Eq(a, b) != Ne(a, b)
+    assert Eq(a, b).atom == Ne(b, a).atom == Eq(b, a).atom == Ne(a, b).atom
+    assert Eq(a, b).atom != Eq(a, e0).atom
+    assert orient(Eq(e0, e1)) is Eq(e1, e0)
+    assert lit_substitute(Ne(e1, a), {e1.head: e0}) is Ne(e0, a)
+    with pytest.raises(AttributeError):
+        Eq(a, b).lhs = e0
+    assert Eq(a, b).lhs is a
 
 
 def test_sigma_delta_examples():
