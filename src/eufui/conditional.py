@@ -324,6 +324,7 @@ class UiResultCnf:
     s3: list
     stats: dict
     falsified: bool = False
+    formats: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # format_formula's memo
     _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def formula(self, unravel: bool = False):

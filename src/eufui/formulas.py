@@ -106,14 +106,21 @@ def expand_lets(f: Formula) -> Formula:
     return _expand(f, {}, {})
 
 
+def let_env(env: dict[Symbol, Term], bindings) -> dict[Symbol, Term]:
+    """env extended by a let's bindings, in order, each value substituted.
+
+    A binding may rebind a symbol that terms were already substituted
+    under, so each value gets a fresh memo, and so must the let's body.
+    """
+    env = dict(env)
+    for y, t in bindings:
+        env[y] = term_substitute(t, env)
+    return env
+
+
 def _expand(f: Formula, env: dict[Symbol, Term], memo: dict) -> Formula:
     if isinstance(f, Let):
-        # A binding may rebind a symbol that terms were already substituted
-        # under, so each value and the body get a fresh memo.
-        env = dict(env)
-        for y, t in f.bindings:
-            env[y] = term_substitute(t, env)
-        return _expand(f.body, env, {})
+        return _expand(f.body, let_env(env, f.bindings), {})
     if isinstance(f, (Eq, Ne)):
         if not env:
             return f
@@ -134,10 +141,12 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
         return TRUE if positive else FALSE
     if isinstance(f, FFalse):
         return FALSE if positive else TRUE
-    if isinstance(f, Eq):
-        return f if positive else mk_ne(f.lhs, f.rhs)
-    if isinstance(f, Ne):
-        return f if positive else mk_eq(f.lhs, f.rhs)
+    if isinstance(f, (Eq, Ne)):
+        if positive:
+            return f
+        if f.lhs is f.rhs:
+            return FALSE if isinstance(f, Eq) else TRUE
+        return f.neg
     if isinstance(f, Implies):
         if positive:
             return mk_or([nnf(f.lhs, False), nnf(f.rhs, True)])

@@ -350,30 +350,41 @@ def format_term(t: Term) -> str:
     return "".join(out)
 
 
-def format_formula(f) -> str:
+def format_formula(f, memo: dict | None = None) -> str:
+    """f as text. memo, keyed by node identity, holds each node formatted
+    through it together with the node, so a node met again, in this call or
+    a later one given the same memo, costs one lookup."""
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
     if isinstance(f, Eq):
-        return f"(= {format_term(f.lhs)} {format_term(f.rhs)})"
-    if isinstance(f, Ne):
-        return f"(not (= {format_term(f.lhs)} {format_term(f.rhs)}))"
-    if isinstance(f, And):
-        return "(and " + " ".join(format_formula(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(format_formula(p) for p in f.parts) + ")"
-    if isinstance(f, Implies):
-        return f"(=> {format_formula(f.lhs)} {format_formula(f.rhs)})"
-    if isinstance(f, Let):
+        text = f"(= {format_term(f.lhs)} {format_term(f.rhs)})"
+    elif isinstance(f, Ne):
+        text = f"(not (= {format_term(f.lhs)} {format_term(f.rhs)}))"
+    elif isinstance(f, (And, Or)):
+        # A part met before is looked up here, without a call.
+        texts = [hit[1] if (hit := memo.get(id(p))) else format_formula(p, memo) for p in f.parts]
+        text = ("(and " if isinstance(f, And) else "(or ") + " ".join(texts) + ")"
+    elif isinstance(f, Implies):
+        text = f"(=> {format_formula(f.lhs, memo)} {format_formula(f.rhs, memo)})"
+    elif isinstance(f, Let):
         # Nested single-binding lets: one SMT-LIB let binds in parallel.
         opens = "".join(f"(let (({y.name} {format_term(t)})) " for y, t in f.bindings)
-        return opens + format_formula(f.body) + ")" * len(f.bindings)
-    if f is TRUE or isinstance(f, type(TRUE)):
-        return "true"
-    if f is FALSE or isinstance(f, type(FALSE)):
-        return "false"
-    raise TypeError(f"not a formula: {f!r}")
+        text = opens + format_formula(f.body, memo) + ")" * len(f.bindings)
+    elif f is TRUE or isinstance(f, type(TRUE)):
+        text = "true"
+    elif f is FALSE or isinstance(f, type(FALSE)):
+        text = "false"
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[id(f)] = (f, text)
+    return text
 
 
 def print_ui(ui, mode: str = "compressed") -> str:
     """Render a UI result; mode is compressed or unravelled."""
     if mode not in ("compressed", "unravelled"):
         raise ValueError(f"unknown print mode {mode}")
-    return format_formula(ui.formula(unravel=(mode == "unravelled")))
+    return format_formula(ui.formula(unravel=(mode == "unravelled")), ui.formats)

@@ -88,6 +88,8 @@ class Disjunct:
 class UiResultDnf:
     disjuncts: list
     stats: dict
+    # format_formula's memo: the sort filled it with every disjunct's text.
+    formats: dict = field(default_factory=dict, compare=False, repr=False)
     _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def formula(self, unravel: bool = False):
@@ -329,5 +331,6 @@ def compute_tableaux_ui(
             delta, phi = list(branch.delta), list(branch.phi)
             disjuncts.append(Disjunct(delta, phi, wrap_definitions(delta, mk_and(phi))))
 
-    disjuncts.sort(key=lambda d: format_formula(d.formula))
-    return UiResultDnf(disjuncts, stats)
+    formats = {}
+    disjuncts.sort(key=lambda d: format_formula(d.formula, formats))
+    return UiResultDnf(disjuncts, stats, formats)

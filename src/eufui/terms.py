@@ -146,11 +146,12 @@ def pair_key(a: Term, b: Term) -> int:
 # hash-consed like terms, in a table on the left side's head symbol, so two
 # literals are equal only when identical and are freed with their problem.
 # `atom` is the `pair_key` of the two sides, so a = b, b = a, a != b and
-# b != a share it.
+# b != a share it. `neg` is the complement with the same sides (a != b for
+# a = b and back), interned in the same table the first time it is read.
 
 
 class _Literal:
-    __slots__ = ("lhs", "rhs", "atom", "__weakref__")
+    __slots__ = ("lhs", "rhs", "atom", "_neg", "__weakref__")
 
     def __new__(cls, lhs: Term, rhs: Term):
         key = (cls, lhs.id, rhs.id)
@@ -161,6 +162,19 @@ class _Literal:
             for name, value in (("lhs", lhs), ("rhs", rhs), ("atom", pair_key(lhs, rhs))):
                 object.__setattr__(lit, name, value)
         return lit
+
+    @property
+    def neg(self):
+        # The `_neg` slot stays empty until the first read, so parsing and
+        # both engines, which never ask, pay nothing for it. A property: a
+        # `__getattr__` fallback would slow every read of lhs, rhs and atom.
+        try:
+            return self._neg
+        except AttributeError:
+            neg = (Ne if self.__class__ is Eq else Eq)(self.lhs, self.rhs)
+            object.__setattr__(self, "_neg", neg)
+            object.__setattr__(neg, "_neg", self)
+            return neg
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Sig, brute_force_sat, random_flat_instance, shared_evar_text
+from eufui import euf, formulas
 from eufui.errors import Budget, ResourceLimitError
-from eufui.euf import CongruenceState, cc_sat, euf_equiv, euf_valid
-from eufui.formulas import FALSE, TRUE, And, Implies, Let, Or, mk_and, mk_or
+from eufui.euf import CongruenceState, _find_sat_cube, cc_sat, euf_equiv, euf_valid
+from eufui.formulas import FALSE, TRUE, And, Implies, Let, Or, expand_lets, mk_and, mk_or, nnf
 from eufui.parse import parse
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
@@ -127,6 +128,24 @@ def test_closure_undo_restores_marked_state_seeded():
     assert undos > 1000
 
 
+def test_closure_stays_broken_until_undone():
+    # Only a union can break a recorded disequality, so an assume that makes
+    # none checks its own pair; a broken state must still answer False.
+    s = Sig()
+    a, b, c, d = s.params("a", "b", "c", "d")
+    state = CongruenceState()
+    assert state.assume(Ne(a, b))
+    mark = len(state.trail)
+    assert not state.assume(Eq(a, b))
+    assert not state.assume(Eq(c, d))
+    assert not state.assume(Ne(a, c))  # no union, and its own pair holds
+    assert not state.assume(Eq(d, c))  # already equal: no union at all
+    state.undo(mark)
+    assert state.lits == [Ne(a, b)]
+    assert state.assume(Eq(c, d))
+    assert state.assume(Ne(a, c))
+
+
 def test_euf_valid_residue_example():
     s = Sig()
     f = s.fn("f", 2)
@@ -207,12 +226,12 @@ def test_euf_valid_checks_deadline_before_search(counting_clock):
 
 
 def test_euf_valid_checks_deadline_per_cube(counting_clock):
-    # Four reads come before the search: one ahead of each let-expansion and NNF pass.
+    # One read comes before the search, then one per cube: the query has no let.
     big, goal = many_cube_query()
     with pytest.raises(ResourceLimitError, match="timeout exceeded") as exc:
         euf_valid(big, goal, budget=Budget(deadline=6.0))
     assert counting_clock.reads == 7
-    assert exc.value.stats == {"cubes_spent": 3}
+    assert exc.value.stats == {"cubes_spent": 6}
 
 
 def test_euf_valid_true_and_false_edges():
@@ -257,6 +276,21 @@ def test_shared_evar_residue_cubes_spent(assumed_cubes):
     assert len(assumed_cubes) == 693
 
 
+def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
+    # The search reads lets and negations in place: no let-free or NNF copy
+    # of the tableaux DNF is built, and the decision order is unchanged.
+    def refuse(*_):
+        raise AssertionError("the oracle copied its query")
+
+    for module in (formulas, euf):
+        monkeypatch.setattr(module, "expand_lets", refuse)
+        monkeypatch.setattr(module, "nnf", refuse)
+    problem = parse(shared_evar_text(6))
+    tab = compute_tableaux_ui(flatten(problem))
+    assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
+    assert len(assumed_cubes) == 693
+
+
 def random_nnf(rng, atoms, depth):
     """A random And/Or tree over the given literals."""
     if depth == 0 or rng.random() < 0.3:
@@ -267,6 +301,8 @@ def random_nnf(rng, atoms, depth):
 
 def dnf(f, positive=True):
     """The cubes of f, or of its negation, by plain enumeration."""
+    if f is TRUE or f is FALSE:
+        return [[]] if (f is TRUE) is positive else []
     if isinstance(f, (Eq, Ne)):
         if isinstance(f, Eq) is positive:
             return [[Eq(f.lhs, f.rhs)]]
@@ -301,3 +337,76 @@ def test_euf_valid_matches_dnf_enumeration_seeded(assumed_cubes):
             assert cc_sat(cube)
         verdicts.append(ok)
     assert sum(verdicts) == 158
+
+
+def random_query(rng, consts, fns, ys, depth, bound=()):
+    """A formula with Implies, Let, nested And/Or, TRUE and FALSE.
+
+    Parts repeat, as the same node or an equal one, and literals can have
+    equal sides or get them from a let. A let binds symbols from ys, each
+    to a term over consts and the symbols bound before it, which may rebind
+    one bound outside it.
+    """
+    leaves = list(consts) + [const(y) for y in bound]
+
+    def term():
+        if rng.random() < 0.4:
+            f = rng.choice(fns)
+            return intern(f, tuple(rng.choice(leaves) for _ in range(f.arity)))
+        return rng.choice(leaves)
+
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        if roll < 0.02:
+            return rng.choice((TRUE, FALSE))
+        lhs = term()
+        rhs = lhs if rng.random() < 0.1 else rng.choice(leaves)
+        return Eq(lhs, rhs) if rng.random() < 0.5 else Ne(lhs, rhs)
+    if roll < 0.35:
+        return Implies(random_query(rng, consts, fns, ys, depth - 1, bound),
+                       random_query(rng, consts, fns, ys, depth - 1, bound))
+    if roll < 0.5:
+        bindings = []
+        bound = list(bound)
+        for y in rng.sample(ys, rng.randint(1, 2)):
+            bindings.append((y, term()))
+            leaves.append(const(y))
+            bound.append(y)
+        return Let(tuple(bindings), random_query(rng, consts, fns, ys, depth - 1, bound))
+    parts = [random_query(rng, consts, fns, ys, depth - 1, bound) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        parts.append(rng.choice(parts))
+    return (And if roll < 0.75 else Or)(tuple(parts))
+
+
+def test_search_reads_lets_and_negations_in_place_seeded(assumed_cubes):
+    # The search reads a query as euf_valid receives it. For each random
+    # query it must make the same closure calls, in the same order, and
+    # return the same cube as on the reference: the query's let-free
+    # negation normal form, built by expand_lets and nnf. The verdicts must
+    # match the plain DNF enumeration.
+    rng = random.Random(20261019)
+    ys = [mk_symbol(f"y{i}", 0, "defined") for i in range(3)]
+    verdicts, spent = [], 0
+    for _ in range(300):
+        consts, fns, _ = random_flat_instance(rng, nconsts=rng.randint(2, 4), nfuns=1, nlits=0)
+        hyp, concl = (random_query(rng, consts, fns, ys, 3) for _ in range(2))
+        cases = [
+            (lambda: _find_sat_cube(hyp, FALSE, Budget()),
+             lambda: _find_sat_cube(nnf(expand_lets(hyp)), FALSE, Budget())),
+            (lambda: euf_valid(hyp, concl)[1],
+             lambda: _find_sat_cube(mk_and([nnf(expand_lets(hyp)), nnf(expand_lets(concl), False)]), FALSE, Budget())),
+        ]
+        for read_in_place, read_copy in cases:
+            start = len(assumed_cubes)
+            cube = read_in_place()
+            mid = len(assumed_cubes)
+            assert read_copy() == cube
+            assert assumed_cubes[start:mid] == assumed_cubes[mid:]
+            verdicts.append(cube is None)
+            spent += mid - start
+        hyp_cubes = dnf(nnf(expand_lets(hyp)))
+        concl_cubes = dnf(nnf(expand_lets(concl)), positive=False)
+        assert verdicts[-2] == (not any(cc_sat(h) for h in hyp_cubes))
+        assert verdicts[-1] == (not any(cc_sat(h + c) for h in hyp_cubes for c in concl_cubes))
+    assert (sum(verdicts), spent) == (163, 762)

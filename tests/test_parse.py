@@ -190,6 +190,8 @@ def test_format_true_false():
 
 def test_print_ui_mode_validation():
     class Dummy:
+        formats = {}
+
         def formula(self, unravel):
             return TRUE
 

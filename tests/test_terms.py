@@ -6,11 +6,14 @@ import weakref
 
 import pytest
 
-from conftest import Sig, unary_chain
+from conftest import Sig, shared_evar_text, unary_chain
+from eufui.conditional import compute_conditional_ui
 from eufui.euf import euf_valid
 from eufui import formulas, terms
 from eufui.formulas import FALSE, TRUE, And, Let, Or, expand_lets, mk_and, mk_or, wrap_definitions
 from eufui.parse import parse
+from eufui.preprocess import flatten
+from eufui.tableaux import compute_tableaux_ui
 from eufui.terms import (
     Eq,
     Ne,
@@ -55,10 +58,11 @@ def test_terms_are_freed_with_their_problem():
     )
     f, z = problem.symbols["f"], problem.symbols["z"]
     fz = intern(f, (const(z),))
-    refs = [weakref.ref(x) for x in (intern(f, (fz,)), Eq(fz, const(z)), Ne(const(z), fz))]
-    del problem, f, z, fz
+    eq = Eq(fz, const(z))
+    refs = [weakref.ref(x) for x in (intern(f, (fz,)), eq, Ne(const(z), fz), eq.neg)]
+    del problem, f, z, fz, eq
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+    assert [r() for r in refs] == [None, None, None, None]
 
 
 def test_literals_are_interned():
@@ -74,6 +78,31 @@ def test_literals_are_interned():
     with pytest.raises(AttributeError):
         Eq(a, b).lhs = e0
     assert Eq(a, b).lhs is a
+
+
+def test_literal_complements():
+    s = Sig()
+    a, b = s.params("a", "b")
+    x = Eq(a, b)
+    assert (Ne, a.id, b.id) not in a.head.lits
+    assert x.neg is Ne(a, b)
+    assert (Ne, a.id, b.id) in a.head.lits
+    assert x.neg.neg is x and Ne(a, b).neg is x
+    assert x.neg.atom == x.atom
+    assert Ne(b, a).neg is Eq(b, a) is not x
+    with pytest.raises(AttributeError):
+        x.neg = x
+
+
+def test_engines_build_no_complements():
+    problem = parse(shared_evar_text(3))
+    pre = flatten(problem)
+    compute_tableaux_ui(pre)
+    compute_conditional_ui(pre)
+    lits = [lit for sym in problem.symbols.values() for lit in sym.lits.values()]
+    assert len(lits) > 20
+    # `_neg` is the slot `neg` fills the first time it is read.
+    assert not any(hasattr(lit, "_neg") for lit in lits)
 
 
 def test_sigma_delta_examples():
