@@ -31,6 +31,14 @@ STATS_KEYS = (
 )
 
 
+def count(text: str) -> int:
+    """The caps' and --timeout-ms's type: an int of at least 0, else a usage error."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process: argparse keeps no state between parses."""
@@ -46,11 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unravel", action="store_true",
                    help="print the fully expanded interpolant instead of the let form")
     p.add_argument("--verify", choices=("off", "residue", "equivalence"), default="off")
-    p.add_argument("--max-branches", type=int, default=Budget.max_branches)
-    p.add_argument("--max-clauses", type=int, default=Budget.max_clauses)
-    p.add_argument("--max-cdags", type=int, default=Budget.max_cdags)
-    p.add_argument("--max-cubes", type=int, default=Budget.max_cubes)
-    p.add_argument("--timeout-ms", type=int, default=None)
+    p.add_argument("--max-branches", type=count, default=Budget.max_branches)
+    p.add_argument("--max-clauses", type=count, default=Budget.max_clauses)
+    p.add_argument("--max-cdags", type=count, default=Budget.max_cdags)
+    p.add_argument("--max-cubes", type=count, default=Budget.max_cubes)
+    p.add_argument("--timeout-ms", type=count, default=None)
     p.add_argument("--format", choices=("smtlib-like", "stats-json"), default="smtlib-like")
     p.add_argument("--strategy", choices=("default", "reversed"), default="default")
     p.add_argument("--prune", choices=("syntactic", "semantic"), default="syntactic")

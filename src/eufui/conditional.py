@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import Budget
-from .formulas import FALSE, Let, expand_lets, mk_and, mk_eq, mk_implies, wrap_definitions
+from .formulas import FALSE, Let, expand_lets, let_env, mk_and, mk_eq, mk_implies, wrap_definitions
 from .terms import (
     Eq,
     NamePool,
@@ -28,7 +28,6 @@ from .terms import (
     is_app_eq,
     mk_symbol,
     orient,
-    resolve,
     term_substitute,
 )
 
@@ -356,7 +355,7 @@ def compute_conditional_ui(pre, budget: Budget = Budget(), order: str = "fifo") 
         core = core_clauses(s3, wset)
         if not core:
             continue
-        sigma = resolve((e.var, e.body) for e in entries)
+        sigma = let_env({}, [(e.var, e.body) for e in entries])
         if all(_clause_trivial(c, sigma) for c in core):
             continue
         wnames = NamePool("w", pre.taken_names, 1)

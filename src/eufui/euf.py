@@ -11,28 +11,28 @@ at each assume and at each let the search expands. Every change the
 closure makes goes on its trail, and a failed branch undoes the trail to
 the mark taken before it; only a union can break a recorded disequality,
 so an assume that makes none checks just its own. The search reads its
-query in place: `_normal` walks it once into negation normal form without
-lets, handing over the parts of each let-free positive connective of
-literals as they stand and negating a literal by the interned complement
-it carries, `neg`. The search's assignment is keyed by each literal's interned `atom`,
-so deciding a = b also decides b = a, a != b and b != a, each with one
-dict lookup (Nieuwenhuis, Oliveras & Tinelli, JACM 2006). The closure never
-deletes a signature: a stale one holds a merged-away root, which no `find`
-returns until that merge is undone. A union puts the root with the shorter
-use list under the other, so an application only ever moves to a use list
-at least twice as long (Downey, Sethi & Tarjan, JACM 1980).
+query through `formulas._nnf`, once, into negation normal form without
+lets: an unchanged node comes back as the same object, so a let-free
+positive connective of literals is never copied, and a literal is negated
+by the interned complement it carries, `neg`. The search's assignment is
+keyed by each literal's interned `atom`, so deciding a = b also decides
+b = a, a != b and b != a, each with one dict lookup (Nieuwenhuis, Oliveras
+& Tinelli, JACM 2006). The closure never deletes a signature: a stale one
+holds a merged-away root, which no `find` returns until that merge is
+undone. A union puts the root with the shorter use list under the other,
+so an application only ever moves to a use list at least twice as long
+(Downey, Sethi & Tarjan, JACM 1980).
 """
 from __future__ import annotations
 
 from collections import deque
-from operator import is_
 
 from .errors import Budget
-from .formulas import FALSE, TRUE, And, FFalse, FTrue, Implies, Let, Or, expand_lets, let_env, nnf
-from .terms import Eq, Ne, Term, term_substitute
+from .formulas import And, FFalse, FTrue, Or, _nnf, expand_lets, mk_and, nnf
+from .terms import Eq, Ne, Term
 
-# bench/tracing.py wraps these two names in this module; the search, which
-# reads its query in place, calls neither.
+# bench/tracing.py wraps these two names in this module; the search reads
+# its query through `_nnf` and calls neither.
 expand_lets, nnf = expand_lets, nnf
 
 
@@ -202,80 +202,16 @@ def cc_sat(literals) -> bool:
     return all(state.assume(lit) for lit in literals)
 
 
-def _normal(g, positive: bool, env: dict, memo: dict, check):
-    """g, or its negation when not positive, with the lets in env and in g
-    substituted away, in negation normal form: TRUE, FALSE, a literal, or
-    `(And, parts)` or `(Or, parts)` with at least two parts.
-
-    This is nnf(expand_lets(g), positive) with each node as a plain tuple:
-    connectives join their parts as `mk_and` and `mk_or` do (unit parts
-    dropped, a zero part absorbing, same-kind parts flattened one level,
-    duplicates kept at their first position), and tuples compare and hash
-    by parts as the nodes do. A connective whose parts all come back as
-    they are hands over its `parts` tuple, so a let-free positive
-    conjunction or disjunction of literals is never copied. Negating a
-    literal reads its interned complement. Each let
-    extends env as `expand_lets` does (`let_env`), with one `term_substitute`
-    memo per environment, after `check` reads the deadline.
-    """
-    kind = g.__class__
-    if kind is Eq or kind is Ne:
-        if env:
-            lhs, rhs = term_substitute(g.lhs, env, memo), term_substitute(g.rhs, env, memo)
-            if lhs is rhs:
-                return TRUE if (kind is Eq) is positive else FALSE
-            g = kind(lhs, rhs)
-        elif g.lhs is g.rhs and not positive:
-            return FALSE if kind is Eq else TRUE
-        return g if positive else g.neg
-    if kind is And or kind is Or:
-        join = And if (kind is And) is positive else Or
-        return _join(join, [_normal(p, positive, env, memo, check) for p in g.parts], g.parts)
-    if kind is Implies:
-        parts = [_normal(g.lhs, not positive, env, memo, check), _normal(g.rhs, positive, env, memo, check)]
-        return _join(Or if positive else And, parts, ())
-    if kind is Let:
-        check()
-        return _normal(g.body, positive, let_env(env, g.bindings), {}, check)
-    if isinstance(g, FTrue):
-        return TRUE if positive else FALSE
-    if isinstance(g, FFalse):
-        return FALSE if positive else TRUE
-    raise TypeError(f"not a formula: {g!r}")
-
-
-def _join(join, parts: list, original: tuple):
-    """(join, parts) normalized as `mk_and` or `mk_or` builds the node; the
-    tuple handed over is original when the parts are its items, unchanged."""
-    unit, zero = (TRUE, FALSE) if join is And else (FALSE, TRUE)
-    out = []
-    for q in parts:
-        if q is unit:
-            continue
-        if q is zero:
-            return zero
-        if q.__class__ is tuple and q[0] is join:
-            out.extend(q[1])
-        else:
-            out.append(q)
-    if len(out) > 1 and len(set(out)) < len(out):
-        out = list(dict.fromkeys(out))
-    if len(out) < 2:
-        return out[0] if out else unit
-    if len(out) == len(original) and all(map(is_, out, original)):
-        return join, original
-    return join, tuple(out)
-
-
 def _find_sat_cube(hyp, concl, budget: Budget):
     """A cc-satisfiable cube of hyp and the negation of concl, or None.
 
-    Both may hold lets and connectives in either polarity; `_normal` reads
-    them once, when the search starts. Literal-branching search: atoms are
-    absorbed into the cube with a closure check each time, pending
-    disjunctions (plain lists of their undecided parts) are simplified
-    against the current assignment, lone survivors propagate in unit
-    rounds, and branching takes one part of the shortest pending
+    Both may hold lets and connectives in either polarity; `formulas._nnf`
+    reads them once, when the search starts, checking the deadline at each
+    let, into And and Or nodes over literals. Literal-branching search:
+    atoms are absorbed into the cube with a closure check each time,
+    pending disjunctions (plain lists of their undecided parts) are
+    simplified against the current assignment, lone survivors propagate in
+    unit rounds, and branching takes one part of the shortest pending
     disjunction at a time, learning its complement when a branch fails. One
     closure serves the whole search; its literals are the cube. The
     assignment maps a literal's `atom`, shared by both kinds and both
@@ -305,11 +241,10 @@ def _find_sat_cube(hyp, concl, budget: Budget):
         while obligations:
             g = obligations.pop()
             kind = g.__class__
-            if kind is tuple:
-                if g[0] is And:
-                    obligations.extend(g[1])
-                else:
-                    ors.append(g[1])
+            if kind is And:
+                obligations.extend(g.parts)
+            elif kind is Or:
+                ors.append(g.parts)
             elif kind is Eq or kind is Ne:
                 if not assume(g):
                     return False
@@ -377,7 +312,7 @@ def _find_sat_cube(hyp, concl, budget: Budget):
         budget.check_time(stats)
 
     ors = []
-    query = _join(And, [_normal(hyp, True, {}, {}, check), _normal(concl, False, {}, {}, check)], ())
+    query = mk_and([_nnf(hyp, True, {}, {}, check), _nnf(concl, False, {}, {}, check)])
     return search(ors) if absorb([query], ors) else None
 
 

@@ -6,11 +6,15 @@ negation normal form. A Let node carries an ordered list of (y, body)
 definitions, the same shape as `pre.initial_delta`; lets are the compressed
 (DAG-shaped) output form. expand_lets substitutes them away in one pass,
 which can grow the formula exponentially (that blow-up is the point of
-keeping them).
+keeping them). nnf substitutes them in the same pass as it pushes
+negations down, and hands back every node it leaves unchanged as the same
+object: literals are interned, so a let-free positive conjunction or
+disjunction of literals is never copied.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
 from .terms import Eq, Ne, Symbol, Term, term_substitute, term_symbols, term_tree_size
 
@@ -59,21 +63,26 @@ class Let:
 Formula = object
 
 
-def _mk_nary(kind, unit, zero, parts) -> Formula:
+def _mk_nary(kind, unit, zero, parts, original=None) -> Formula:
     """kind over parts: unit parts dropped, a zero part absorbing, same-kind
-    parts flattened one level, duplicates kept at their first position."""
-    out = {}  # an ordered set
+    parts flattened one level, duplicates kept at their first position.
+    original comes back itself when the parts are its parts, unchanged."""
+    out = []
     for p in parts:
         if p is unit:
             continue
         if p is zero:
             return zero
-        for q in p.parts if isinstance(p, kind) else (p,):
-            out[q] = None
-    if not out:
-        return unit
-    if len(out) == 1:
-        return next(iter(out))
+        if p.__class__ is kind:
+            out.extend(p.parts)
+        else:
+            out.append(p)
+    if len(out) > 1 and len(set(out)) < len(out):
+        out = list(dict.fromkeys(out))
+    if len(out) < 2:
+        return out[0] if out else unit
+    if original is not None and len(out) == len(original.parts) and all(map(is_, out, original.parts)):
+        return original
     return kind(tuple(out))
 
 
@@ -136,24 +145,40 @@ def _expand(f: Formula, env: dict[Symbol, Term], memo: dict) -> Formula:
 
 
 def nnf(f: Formula, positive: bool = True) -> Formula:
-    """Negation normal form of the let-free f; atoms become Eq/Ne leaves only."""
-    if isinstance(f, FTrue):
-        return TRUE if positive else FALSE
-    if isinstance(f, FFalse):
-        return FALSE if positive else TRUE
-    if isinstance(f, (Eq, Ne)):
-        if positive:
-            return f
-        if f.lhs is f.rhs:
-            return FALSE if isinstance(f, Eq) else TRUE
-        return f.neg
-    if isinstance(f, Implies):
-        if positive:
-            return mk_or([nnf(f.lhs, False), nnf(f.rhs, True)])
-        return mk_and([nnf(f.lhs, True), nnf(f.rhs, False)])
-    if isinstance(f, (And, Or)):
-        parts = [nnf(p, positive) for p in f.parts]
-        return mk_and(parts) if isinstance(f, And) is positive else mk_or(parts)
+    """Negation normal form of f, or of its negation when not positive, with
+    every let substituted away; atoms become Eq/Ne leaves only."""
+    return _nnf(f, positive, {}, {}, None)
+
+
+def _nnf(f: Formula, positive: bool, env: dict[Symbol, Term], memo: dict, check) -> Formula:
+    """nnf of f under the let bindings in env; `check`, unless None, is
+    called at each let. Each let extends env as `expand_lets` does, with one
+    `term_substitute` memo per environment."""
+    kind = f.__class__
+    if kind is Eq or kind is Ne:
+        if env:
+            lhs, rhs = term_substitute(f.lhs, env, memo), term_substitute(f.rhs, env, memo)
+            if lhs is rhs:
+                return TRUE if (kind is Eq) is positive else FALSE
+            f = kind(lhs, rhs)
+        elif f.lhs is f.rhs and not positive:
+            return FALSE if kind is Eq else TRUE
+        return f if positive else f.neg
+    if kind is And or kind is Or:
+        parts = [_nnf(p, positive, env, memo, check) for p in f.parts]
+        original = f if positive else None
+        if (kind is And) is positive:
+            return _mk_nary(And, TRUE, FALSE, parts, original)
+        return _mk_nary(Or, FALSE, TRUE, parts, original)
+    if kind is Implies:
+        lhs, rhs = _nnf(f.lhs, not positive, env, memo, check), _nnf(f.rhs, positive, env, memo, check)
+        return mk_or([lhs, rhs]) if positive else mk_and([lhs, rhs])
+    if kind is Let:
+        if check is not None:
+            check()
+        return _nnf(f.body, positive, let_env(env, f.bindings), {}, check)
+    if kind is FTrue or kind is FFalse:
+        return TRUE if (kind is FTrue) is positive else FALSE
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -1,4 +1,4 @@
-"""Interned term DAG, ground literals, and `resolve`, which expands definitions.
+"""Interned term DAG and ground literals.
 
 Terms are hash-consed into a table on their head symbol, so structural
 equality is identity and a term lives exactly as long as the symbols of
@@ -243,20 +243,6 @@ def eliminate(lits: list, i: int, sym: Symbol, t: Term) -> None:
     del lits[i]
     mapping = {sym: t}
     lits[:] = [lit_substitute(l, mapping) if sym in flat_symbols(l) else l for l in lits]
-
-
-# ---------------------------------------------------------------------------
-# DAG-definitions: an ordered list of (y, body) pairs, each body over earlier
-# y's and parameters. No body mentions a later y, so one memo serves them all.
-
-
-def resolve(entries) -> dict[Symbol, Term]:
-    """Each defined symbol mapped to its body with earlier definitions substituted."""
-    mapping: dict[Symbol, Term] = {}
-    memo: dict = {}
-    for y, body in entries:
-        mapping[y] = term_substitute(body, mapping, memo)
-    return mapping
 
 
 def compatible(t: Term, u: Term):

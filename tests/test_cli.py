@@ -182,6 +182,17 @@ def test_equivalence_check_requires_both_algorithms(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--max-branches", "--max-clauses", "--max-cdags", "--max-cubes", "--timeout-ms"])
+def test_negative_numeric_flag_is_a_usage_error(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag, "-1", write(tmp_path, EX22)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: invalid count value: '-1'" in err
+    assert "Traceback" not in err
+
+
 def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
     path = write(tmp_path, EX22)
     assert cli.build_parser() is cli.build_parser()

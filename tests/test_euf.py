@@ -291,6 +291,13 @@ def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
     assert len(assumed_cubes) == 693
 
 
+def test_nnf_hands_back_an_unchanged_formula():
+    # The tableaux DNF is a let-free positive disjunction of conjunctions of
+    # literals, so its negation normal form is the formula itself.
+    tab = compute_tableaux_ui(flatten(parse(shared_evar_text(6))))
+    assert nnf(tab.formula()) is tab.formula()
+
+
 def random_nnf(rng, atoms, depth):
     """A random And/Or tree over the given literals."""
     if depth == 0 or rng.random() < 0.3:
@@ -391,6 +398,10 @@ def test_search_reads_lets_and_negations_in_place_seeded(assumed_cubes):
     for _ in range(300):
         consts, fns, _ = random_flat_instance(rng, nconsts=rng.randint(2, 4), nfuns=1, nlits=0)
         hyp, concl = (random_query(rng, consts, fns, ys, 3) for _ in range(2))
+        # expand_lets stays the independent reference for nnf's let handling.
+        for q in (hyp, concl):
+            for positive in (True, False):
+                assert nnf(q, positive) == nnf(expand_lets(q), positive)
         cases = [
             (lambda: _find_sat_cube(hyp, FALSE, Budget()),
              lambda: _find_sat_cube(nnf(expand_lets(hyp)), FALSE, Budget())),

@@ -4,9 +4,10 @@ and nothing under src/ is defined that src/ never names.
 Two stdlib `ast` scans. Every name an import binds must be read somewhere
 in the same module, as a bare name or as the base of an attribute access;
 `from __future__` imports bind nothing and are skipped. Every function,
-class and method defined under src/ must be named, as a name or an
-attribute, somewhere under src/ outside its own definition; dunders and the
-library entry points that only outside callers use are exempt.
+class and method defined under src/, and every name a module-level
+assignment there binds, must be named, as a name or an attribute,
+somewhere under src/ outside its own definition; dunders and the library
+entry points that only outside callers use are exempt.
 """
 from __future__ import annotations
 
@@ -58,13 +59,15 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
                 named.setdefault(name, []).append((path, n.lineno))
     dead = []
     for path, tree in trees.items():
-        for d in ast.walk(tree):
-            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        defs = [(d, d.name) for d in ast.walk(tree)
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        defs += [(d, n.id) for d in tree.body if isinstance(d, (ast.Assign, ast.AnnAssign))
+                 for n in ast.walk(d) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        for d, name in defs:
+            if name in ENTRY_POINTS or (name.startswith("__") and name.endswith("__")):
                 continue
-            if d.name in ENTRY_POINTS or (d.name.startswith("__") and d.name.endswith("__")):
-                continue
-            if not any(p != path or not d.lineno <= line <= d.end_lineno for p, line in named.get(d.name, ())):
-                dead.append(f"{path}:{d.lineno}: {d.name}")
+            if not any(p != path or not d.lineno <= line <= d.end_lineno for p, line in named.get(name, ())):
+                dead.append(f"{path}:{d.lineno}: {name}")
     return sorted(dead)
 
 
@@ -74,6 +77,14 @@ def test_scan_sees_a_dead_definition():
         "b.py": "from a import C\nC().m\ndef parse_formula():\n    pass\n",
     }
     assert dead_definitions(sources) == ["a.py:1: used"]
+
+
+def test_scan_sees_a_dead_constant():
+    sources = {
+        "a.py": "__version__ = '1'\nLIMIT: int = 3\nA, B = 1, 2\nTABLE = {}\nTABLE['k'] = A\n",
+        "b.py": "from a import B\nprint(B)\ndef f():\n    local = 1\nf()\n",
+    }
+    assert dead_definitions(sources) == ["a.py:2: LIMIT"]
 
 
 def test_no_dead_definitions():

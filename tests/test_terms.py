@@ -10,7 +10,7 @@ from conftest import Sig, shared_evar_text, unary_chain
 from eufui.conditional import compute_conditional_ui
 from eufui.euf import euf_valid
 from eufui import formulas, terms
-from eufui.formulas import FALSE, TRUE, And, Let, Or, expand_lets, mk_and, mk_or, wrap_definitions
+from eufui.formulas import FALSE, TRUE, And, Let, Or, expand_lets, let_env, mk_and, mk_or, wrap_definitions
 from eufui.parse import parse
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
@@ -25,7 +25,6 @@ from eufui.terms import (
     lit_substitute,
     mk_symbol,
     orient,
-    resolve,
     term_substitute,
     term_tree_size,
 )
@@ -113,11 +112,11 @@ def test_sigma_delta_examples():
     y1 = mk_symbol("y1", 0, "defined")
     y2 = mk_symbol("y2", 0, "defined")
     fzz = intern(f, (z, z))
-    d1 = resolve([(y1, fzz)])
+    d1 = let_env({}, [(y1, fzz)])
     assert term_substitute(intern(g, (const(y1),)), d1) is intern(g, (fzz,))
-    d2 = resolve([(y1, fzz), (y2, intern(f, (const(y1), const(y1))))])
+    d2 = let_env({}, [(y1, fzz), (y2, intern(f, (const(y1), const(y1))))])
     assert term_substitute(const(y2), d2) is intern(f, (fzz, fzz))
-    assert term_substitute(fzz, resolve([])) is fzz
+    assert term_substitute(fzz, let_env({}, [])) is fzz
 
 
 def test_sigma_delta_idempotent_on_output():
@@ -125,7 +124,7 @@ def test_sigma_delta_idempotent_on_output():
     f = s.fn("f", 2)
     z = s.params("z")[0]
     y1 = mk_symbol("y1", 0, "defined")
-    d = resolve([(y1, intern(f, (z, z)))])
+    d = let_env({}, [(y1, intern(f, (z, z)))])
     out = term_substitute(intern(f, (const(y1), z)), d)
     assert term_substitute(out, d) is out
 
@@ -282,7 +281,7 @@ def test_doubling_chain_compression():
         y = mk_symbol(f"y{i}", 0, "defined")
         entries.append((y, intern(f, (prev, prev))))
         prev = const(y)
-    out = term_substitute(prev, resolve(entries))
+    out = term_substitute(prev, let_env({}, entries))
     assert term_tree_size(out) == 2 ** 11 - 1
     assert len(entries) == 10
 
