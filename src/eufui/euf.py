@@ -12,16 +12,18 @@ closure makes goes on its trail, and a failed branch undoes the trail to
 the mark taken before it; only a union can break a recorded disequality,
 so an assume that makes none checks just its own. The search reads its
 query through `formulas._nnf`, once, into negation normal form without
-lets: an unchanged node comes back as the same object, so a let-free
-positive connective of literals is never copied, and a literal is negated
-by the interned complement it carries, `neg`. The search's assignment is
-keyed by each literal's interned `atom`, so deciding a = b also decides
-b = a, a != b and b != a, each with one dict lookup (Nieuwenhuis, Oliveras
-& Tinelli, JACM 2006). The closure never deletes a signature: a stale one
-holds a merged-away root, which no `find` returns until that merge is
-undone. A union puts the root with the shorter use list under the other,
-so an application only ever moves to a use list at least twice as long
-(Downey, Sethi & Tarjan, JACM 1980).
+lets. Its assignment is keyed by each literal's interned `atom`, so
+deciding a = b also decides b = a, a != b and b != a (Nieuwenhuis,
+Oliveras & Tinelli, JACM 2006), and is also held as two masks over one bit
+per atom: the atoms assigned an Eq, and those assigned a Ne. A disjunction
+of non-trivial literals over distinct atoms is filed as the masks of its
+Eq and of its Ne parts, so the search finds it satisfied, false, unit or
+open with a few int operations instead of a walk over its parts. The
+closure never deletes a signature: a stale one holds a merged-away root,
+which no `find` returns until that merge is undone. A union puts the root
+with the shorter use list under the other, so an application only ever
+moves to a use list at least twice as long (Downey, Sethi & Tarjan, JACM
+1980).
 """
 from __future__ import annotations
 
@@ -141,8 +143,9 @@ class CongruenceState:
         that makes none checks just its own. A broken state stays broken
         until `undo` goes past the assume that broke it.
         """
-        self.add(lit.lhs)
-        self.add(lit.rhs)
+        for side in (lit.lhs, lit.rhs):
+            if side.id not in self.parent:
+                self.add(side)
         self.lits.append(lit)
         self.trail.append((_LIT,))
         unions = self.unions
@@ -202,6 +205,12 @@ def cc_sat(literals) -> bool:
     return all(state.assume(lit) for lit in literals)
 
 
+class _Bits(dict):  # atom -> its own bit, the next free one given at first lookup
+    def __missing__(self, atom):
+        bit = self[atom] = 1 << len(self)
+        return bit
+
+
 def _find_sat_cube(hyp, concl, budget: Budget):
     """A cc-satisfiable cube of hyp and the negation of concl, or None.
 
@@ -209,42 +218,59 @@ def _find_sat_cube(hyp, concl, budget: Budget):
     reads them once, when the search starts, checking the deadline at each
     let, into And and Or nodes over literals. Literal-branching search:
     atoms are absorbed into the cube with a closure check each time,
-    pending disjunctions (plain lists of their undecided parts) are
-    simplified against the current assignment, lone survivors propagate in
-    unit rounds, and branching takes one part of the shortest pending
-    disjunction at a time, learning its complement when a branch fails. One
-    closure serves the whole search; its literals are the cube. The
-    assignment maps a literal's `atom`, shared by both kinds and both
+    pending disjunctions (mask clauses, else lists of their undecided
+    parts) are simplified against the current assignment, lone survivors
+    propagate in unit rounds, and branching takes one part of the shortest
+    pending disjunction at a time, learning its complement when a branch
+    fails. One closure serves the whole search; its literals are the cube.
+    The assignment maps a literal's `atom`, shared by both kinds and both
     orientations, to the literal assumed for it. A failed branch undoes
-    both to where they stood before it.
+    both, and the masks, to where they stood before it.
     """
     stats = {"cubes_spent": 0}
     closure = CongruenceState()
     assign = {}
     decided = assign.get
+    bits = _Bits()
+    eqs = nes = 0  # the bits of the atoms assigned an Eq, and a Ne
 
     def assume(lit) -> bool:
         """False when lit is refuted or closes the cube; an undecided lit joins it, spending a cube."""
+        nonlocal eqs, nes
         if lit.lhs is lit.rhs:
             return lit.__class__ is Eq
         got = decided(lit.atom)
         if got is not None:
             return got.__class__ is lit.__class__
         assign[lit.atom] = lit
+        if lit.__class__ is Eq:
+            eqs |= bits[lit.atom]
+        else:
+            nes |= bits[lit.atom]
         budget.count(stats, "cubes_spent")
         budget.check_time(stats)
         return closure.assume(lit)
 
     def absorb(obligations, ors) -> bool:
-        """Assume the literals under obligations, last first, and append their
-        disjunctions' parts to ors; False on a conflict."""
+        """Assume the literals under obligations, last first, and file their
+        disjunctions in ors; False on a conflict."""
         while obligations:
             g = obligations.pop()
             kind = g.__class__
             if kind is And:
                 obligations.extend(g.parts)
             elif kind is Or:
-                ors.append(g.parts)
+                em = nm = 0  # the bits of its Eq and of its Ne parts
+                for p in g.parts:
+                    if p.__class__ is not Eq and p.__class__ is not Ne or p.lhs is p.rhs or (em | nm) & bits[p.atom]:
+                        ors.append(list(g.parts))
+                        break
+                    if p.__class__ is Eq:
+                        em |= bits[p.atom]
+                    else:
+                        nm |= bits[p.atom]
+                else:
+                    ors.append((g.parts, em, nm))
             elif kind is Eq or kind is Ne:
                 if not assume(g):
                     return False
@@ -255,9 +281,24 @@ def _find_sat_cube(hyp, concl, budget: Budget):
         return True
 
     def search(ors):
+        nonlocal eqs, nes
         while True:
             units, pending = [], []
+            free = ~(eqs | nes)
             for g in ors:
+                if g.__class__ is tuple:
+                    # A mask clause: decided by int ops over its atoms' bits.
+                    parts, em, nm = g
+                    if em & eqs or nm & nes:
+                        continue
+                    live = (em | nm) & free
+                    if not live:
+                        return None
+                    if live & (live - 1):
+                        pending.append(g)
+                    else:
+                        units.append(next(p for p in parts if p.atom not in assign))
+                    continue
                 parts = []
                 for p in g:
                     kind = p.__class__
@@ -291,16 +332,19 @@ def _find_sat_cube(hyp, concl, budget: Budget):
 
         if not pending:
             return list(closure.lits)
-        pending.sort(key=len)
+        pending.sort(key=lambda g: len(g) if g.__class__ is list else ((g[1] | g[2]) & free).bit_count())
         parts, rest = pending[0], pending[:0:-1]
+        if parts.__class__ is tuple:
+            parts = [p for p in parts[0] if p.atom not in assign]
         for p in parts:
-            mark, assigned = len(closure.trail), len(assign)
+            mark, assigned, masks = len(closure.trail), len(assign), (eqs, nes)
             branch = []
             if absorb([p], branch):
                 res = search(branch + rest)
                 if res is not None:
                     return res
             closure.undo(mark)
+            eqs, nes = masks
             while len(assign) > assigned:
                 assign.popitem()
             kind = p.__class__

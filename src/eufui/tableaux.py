@@ -7,15 +7,18 @@ matching rule in a fixed priority order (1.0, 1.i, 1.ii, 2, 3, 4), scanning
 psi forward or, under the reversed strategy, backward. Each literal is
 classified once, when it enters psi, so a rule's first literal is found by
 searching a list of small codes; rule 4's blocking test is a lookup in the
-atoms of phi's disequalities.
+atoms of phi's disequalities. Rule 4's pair scan, under either strategy,
+resumes at the pair where it last split: a pair it passed stays
+incompatible, as its literals are unchanged, or blocked, as phi only grows,
+and a merge deletes only the pair's second literal. A replacement restarts it.
 
 Only the splitting rule branches. It takes a mark on the trail, the log of
 every change to psi, and applies its first successor; when that subtree is
 done the search undoes back to the mark and applies the next. phi and delta
-only grow along a branch, so a mark holds their lengths and the name
-counter. Terminal work sets hold nothing but blocked applications and
-quantified disequalities and are discarded, so each open leaf contributes a
-snapshot of (delta, phi).
+only grow along a branch, so a mark holds their lengths, the name counter
+and the scan's resume point. Terminal work sets hold nothing but blocked
+applications and quantified disequalities and are discarded, so each open
+leaf contributes a snapshot of (delta, phi).
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ from .terms import (
     lit_substitute,
     mk_symbol,
     orient,
-    pair_key,
     term_is_efree,
 )
 
@@ -117,6 +119,7 @@ class _Branch:
         self.lhs_count = {}  # left side of a psi application equation -> copies
         self.shared = 0  # copies past the first, over all left sides; rule 1.i applies when > 0
         self._code_of = {}
+        self.resume = None  # the app pair where rule 4 last split; None: the first pair
         for lit in pre.s1:
             self._put(len(self.psi), lit)
         for lit in pre.passthrough:
@@ -154,6 +157,7 @@ class _Branch:
 
     def replace(self, i: int, lit) -> None:
         self.trail.append((_Branch._swap, i, self._swap(i, lit)))
+        self.resume = None
 
     def eliminate(self, i: int, sym, t) -> None:
         """Delete psi[i] and replace sym by t in the other literals, on the trail."""
@@ -177,27 +181,26 @@ class _Branch:
     def split(self, i: int, j: int, diffs, k: int) -> None:
         """Apply rule 4's successor k to the pair psi[i], psi[j] with these argument diffs.
 
-        Successor 0 merges the pair and assumes every diff equal; successor
-        k > 0 assumes diff k - 1 apart.
+        diffs is `split_of`'s entry. Successor 0 merges the pair and assumes
+        every diff equal; successor k > 0 assumes diff k - 1 apart.
         """
+        _, eqs, nes = diffs
         if k:
-            u, v = diffs[k - 1]
-            self.retain(orient(Ne(u, v)))
+            self.retain(nes[k - 1])
             return
         a, b = self.psi[i].rhs, self.psi[j].rhs
         self.remove(j)
         if a is not b:
             self.add(orient(Eq(a, b)))
-        for u, v in diffs:
-            eq = orient(Eq(u, v))
+        for eq in eqs:
             if eq not in self.in_phi:
                 self.retain(eq)
 
     def mark(self) -> tuple:
-        return len(self.trail), len(self.phi), len(self.delta), self.ynames.next_index
+        return len(self.trail), len(self.phi), len(self.delta), self.ynames.next_index, self.resume
 
     def undo(self, mark: tuple) -> None:
-        n, nphi, ndelta, self.ynames.next_index = mark
+        n, nphi, ndelta, self.ynames.next_index, self.resume = mark
         trail = self.trail
         while len(trail) > n:
             fn, i, lit = trail.pop()
@@ -208,14 +211,16 @@ class _Branch:
         del self.delta[ndelta:]
 
 
-def _pairs(n: int, forward: bool):
+def _pairs(n: int, forward: bool, start=None):
+    """Index pairs i < j < n in scan order, from start on (from the first pair when None)."""
+    x, y = start or ((0, 1) if forward else (n - 2, n - 1))
     if forward:
-        for i in range(n):
-            for j in range(i + 1, n):
+        for i in range(x, n):
+            for j in range(y if i == x else i + 1, n):
                 yield i, j
     else:
-        for i in range(n - 2, -1, -1):
-            for j in range(n - 1, i, -1):
+        for i in range(x, -1, -1):
+            for j in range(min(y, n - 1) if i == x else n - 1, i, -1):
                 yield i, j
 
 
@@ -242,14 +247,15 @@ def compute_tableaux_ui(
             return -1
         return codes.index(code) if forward else len(codes) - 1 - codes[::-1].index(code)
 
-    # (t, u) -> None when rule 4 cannot split t and u, else their argument
-    # diffs with each diff's `pair_key`.
+    # (t, u) -> None when rule 4 cannot split t and u, else, for each argument
+    # diff, its atom (`pair_key`), its oriented equation and its disequation.
     splits: dict = {}
 
     def split_of(t, u):
         if (t, u) not in splits:
             diffs = compatible(t, u) if t is not u else None
-            splits[t, u] = diffs and (diffs, [pair_key(a, b) for a, b in diffs])
+            nes = diffs and [orient(Ne(a, b)) for a, b in diffs]
+            splits[t, u] = diffs and ([ne.atom for ne in nes], [orient(Eq(a, b)) for a, b in diffs], nes)
         return splits[t, u]
 
     def fire(b: _Branch):
@@ -287,12 +293,13 @@ def compute_tableaux_ui(
                 b.retain(lit)
             return "3", "open"
         apps = [k for k, code in enumerate(codes) if code == _APP]
-        for x, y in _pairs(len(apps), forward):
+        for x, y in _pairs(len(apps), forward, b.resume):
             i, j = apps[x], apps[y]
             found = split_of(psi[i].lhs, psi[j].lhs)
-            if found and b.apart.keys().isdisjoint(found[1]):
+            if found and b.apart.keys().isdisjoint(found[0]):
+                b.resume = (x, y)
                 mark = b.mark()
-                stack.extend((mark, (i, j, found[0], k)) for k in range(len(found[0]), -1, -1))
+                stack.extend((mark, (i, j, found, k)) for k in range(len(found[0]), -1, -1))
                 return "4", "split"
         return None, "terminal"
 

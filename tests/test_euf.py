@@ -276,6 +276,14 @@ def test_shared_evar_residue_cubes_spent(assumed_cubes):
     assert len(assumed_cubes) == 693
 
 
+def test_shared_evar_residue_cubes_spent_at_bench_size(assumed_cubes):
+    # The bench's shared-evar size: 877 clauses, all decided by atom bits.
+    problem = parse(shared_evar_text(7))
+    tab = compute_tableaux_ui(flatten(problem))
+    assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
+    assert len(assumed_cubes) == 2988
+
+
 def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
     # The search reads lets and negations in place: no let-free or NNF copy
     # of the tableaux DNF is built, and the decision order is unchanged.
@@ -296,6 +304,29 @@ def test_nnf_hands_back_an_unchanged_formula():
     # literals, so its negation normal form is the formula itself.
     tab = compute_tableaux_ui(flatten(parse(shared_evar_text(6))))
     assert nnf(tab.formula()) is tab.formula()
+
+
+def test_nnf_negates_a_conjunction_of_literals_into_one_clause(monkeypatch):
+    s = Sig()
+    f = s.fn("f", 1)
+    a, b, c = s.params("a", "b", "c")
+    y = mk_symbol("y", 0, "defined")
+    p, q, r = Eq(intern(f, (a,)), b), Ne(a, c), Eq(b, c)
+    cases = [
+        ((p, q, r), mk_or([p.neg, q.neg, r.neg])),
+        ((p, q, p), mk_or([p.neg, q.neg])),
+        ((q,), q.neg),
+        ((p, Eq(a, a)), p.neg),
+        ((p, Ne(c, c)), TRUE),
+    ]
+    for parts, want in cases:
+        assert nnf(And(parts), False) == want
+    # Under a let, each literal is substituted first: y = b becomes f(a) = b.
+    assert nnf(Let(((y, intern(f, (a,))),), And((Eq(const(y), b), q))), False) == mk_or([p.neg, q.neg])
+    # Distinct non-trivial literals come back as one clause of their
+    # complements without going through the general join.
+    monkeypatch.setattr(formulas, "_mk_nary", None)
+    assert nnf(And((p, q, r)), False) == Or((p.neg, q.neg, r.neg))
 
 
 def random_nnf(rng, atoms, depth):
@@ -421,3 +452,39 @@ def test_search_reads_lets_and_negations_in_place_seeded(assumed_cubes):
         assert verdicts[-2] == (not any(cc_sat(h) for h in hyp_cubes))
         assert verdicts[-1] == (not any(cc_sat(h + c) for h in hyp_cubes for c in concl_cubes))
     assert (sum(verdicts), spent) == (163, 762)
+
+
+def test_search_mixes_mask_and_list_clauses_seeded(assumed_cubes):
+    # A clause of non-trivial literals over distinct atoms is decided by the
+    # atoms' bits; any other keeps the list of its parts. Each query mixes
+    # both: a clause may also get an And part, its first literal flipped
+    # (b = a beside a = b), that literal's complement, or a trivial literal.
+    rng = random.Random(20261020)
+    queries = []
+    for _ in range(200):
+        consts, _, atoms = random_flat_instance(rng, nconsts=rng.randint(3, 5), nfuns=1, nlits=6)
+        clauses = []
+        for _ in range(rng.randint(2, 4)):
+            parts = rng.sample(atoms, rng.randint(1, 3))
+            first, defect = parts[0], rng.randrange(8)
+            if defect == 4:
+                parts.append(And(tuple(rng.sample(atoms, 2))))
+            elif defect == 5:
+                parts.append(type(first)(first.rhs, first.lhs))
+            elif defect == 6:
+                parts.append(first.neg)
+            elif defect == 7:
+                c = rng.choice(consts)
+                parts.append(rng.choice((Eq, Ne))(c, c))
+            clauses.append(Or(tuple(parts)))
+        concl = rng.choice((rng.choice(atoms), And(tuple(rng.sample(atoms, 3)))))
+        queries.append((And(tuple(clauses)), concl, *euf_valid(And(tuple(clauses)), concl)))
+    # Counted before the checks below, whose cc_sat calls assume too.
+    assert len(assumed_cubes) == 461
+    verdicts = []
+    for hyp, concl, ok, cube in queries:
+        assert ok == (not any(cc_sat(h + c) for h in dnf(hyp) for c in dnf(concl, positive=False)))
+        if not ok:
+            assert cc_sat(cube)
+        verdicts.append(ok)
+    assert sum(verdicts) == 30

@@ -278,3 +278,15 @@ def test_default_vs_reversed_on_random_corpus():
         b = compute_tableaux_ui(flatten(problem), strategy="reversed")
         ok, witness = euf_equiv(a.formula(), b.formula())
         assert ok, witness
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_pair_scan_resumes_where_it_left_off(forward):
+    full = list(tableaux._pairs(6, forward))
+    assert len(full) == 15
+    for k, start in enumerate(full):
+        assert list(tableaux._pairs(6, forward, start)) == full[k:]
+    # A merge deletes the pair's second literal: the scan goes on over one
+    # literal fewer, from the same indices.
+    shorter = list(tableaux._pairs(5, forward))
+    assert list(tableaux._pairs(5, forward, (1, 5))) == shorter[shorter.index((2, 3) if forward else (1, 4)):]
