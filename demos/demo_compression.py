@@ -28,9 +28,9 @@ def main() -> None:
         print(f"{n:>3} {compressed:>11} {unravelled:>11}")
     result = compute_conditional_ui(flatten(parse(doubling_chain(4))))
     print()
-    print("n=4 compressed:", print_ui(result, "compressed"))
+    print("n=4 compressed:", print_ui(result))
     print()
-    print("n=4 unravelled:", print_ui(result, "unravelled"))
+    print("n=4 unravelled:", print_ui(result, unravel=True))
 
 
 if __name__ == "__main__":

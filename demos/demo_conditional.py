@@ -39,7 +39,7 @@ def show(name: str) -> None:
         ) or "(empty)"
         print(f"  chain {k}: {order}")
         print(f"    {format_formula(phi.formula())}")
-    print(f"UI: {print_ui(result, 'compressed')}")
+    print(f"UI: {print_ui(result)}")
     print()
 
 

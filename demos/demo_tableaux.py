@@ -21,7 +21,7 @@ def show(name: str) -> None:
           f"  rule-4 splits: {result.stats['rule4_firings']}")
     for k, disjunct in enumerate(result.disjuncts, 1):
         print(f"  disjunct {k}: {format_formula(disjunct.formula)}")
-    print(f"UI: {print_ui(result, 'compressed')}")
+    print(f"UI: {print_ui(result)}")
     print()
 
 

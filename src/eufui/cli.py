@@ -135,19 +135,22 @@ def main(argv=None) -> int:
                 print(f"verification-failed {direction} " + format_formula(mk_and(cube)))
                 return 1
             verified_line = "equivalent"
-        # Sizing and printing build formulas too: a run past its deadline stops here.
-        budget.check_time({k: v for r in (tab, cond) if r is not None for k, v in r.stats.items()})
+        # Sizing and printing build formulas too: a run past its deadline stops
+        # here, or while the output is formatted, before any of it is printed.
+        stats = {k: v for r in (tab, cond) if r is not None for k, v in r.stats.items()}
+        budget.check_time(stats)
+        check = None if deadline is None else functools.partial(budget.check_time, stats)
+        if args.algorithm == "both":
+            text = (f"tableaux: {print_ui(tab, args.unravel, check)}\n"
+                    f"conditional: {print_ui(cond, args.unravel, check)}")
+        else:
+            text = print_ui(tab if args.algorithm == "tableaux" else cond, args.unravel, check)
     except ResourceLimitError as exc:
         counters = f" {json.dumps(exc.stats, sort_keys=True)}" if exc.stats else ""
         print(f"resource limit: {exc}{counters}", file=sys.stderr)
         return 3
 
-    mode = "unravelled" if args.unravel else "compressed"
-    if args.algorithm == "both":
-        print(f"tableaux: {print_ui(tab, mode)}")
-        print(f"conditional: {print_ui(cond, mode)}")
-    else:
-        print(print_ui(tab if args.algorithm == "tableaux" else cond, mode))
+    print(text)
     if verified_line:
         print(verified_line)
 

@@ -12,18 +12,17 @@ closure makes goes on its trail, and a failed branch undoes the trail to
 the mark taken before it; only a union can break a recorded disequality,
 so an assume that makes none checks just its own. The search reads its
 query through `formulas._nnf`, once, into negation normal form without
-lets. Its assignment is keyed by each literal's interned `atom`, so
-deciding a = b also decides b = a, a != b and b != a (Nieuwenhuis,
-Oliveras & Tinelli, JACM 2006), and is also held as two masks over one bit
-per atom: the atoms assigned an Eq, and those assigned a Ne. A disjunction
-of non-trivial literals over distinct atoms is filed as the masks of its
+lets. Its assignment is two masks over one bit per interned `atom`, the
+atoms assigned an Eq and those assigned a Ne, so deciding a = b also
+decides b = a, a != b and b != a (Nieuwenhuis, Oliveras & Tinelli, JACM
+2006). Every disjunction is filed as its parts' bits and the masks of its
 Eq and of its Ne parts, so the search finds it satisfied, false, unit or
-open with a few int operations instead of a walk over its parts. The
-closure never deletes a signature: a stale one holds a merged-away root,
-which no `find` returns until that merge is undone. A union puts the root
-with the shorter use list under the other, so an application only ever
-moves to a use list at least twice as long (Downey, Sethi & Tarjan, JACM
-1980).
+open with a few int operations; an `And` part has a bit of its own, which
+no literal assigns, so it stays live until it is absorbed. The closure
+never deletes a signature: a stale one holds a merged-away root, which no
+`find` returns until that merge is undone. A union puts the root with the
+shorter use list under the other, so an application only ever moves to a
+use list at least twice as long (Downey, Sethi & Tarjan, JACM 1980).
 """
 from __future__ import annotations
 
@@ -205,7 +204,7 @@ def cc_sat(literals) -> bool:
     return all(state.assume(lit) for lit in literals)
 
 
-class _Bits(dict):  # atom -> its own bit, the next free one given at first lookup
+class _Bits(dict):  # key -> its own bit, the next free one given at first lookup
     def __missing__(self, atom):
         bit = self[atom] = 1 << len(self)
         return bit
@@ -218,19 +217,15 @@ def _find_sat_cube(hyp, concl, budget: Budget):
     reads them once, when the search starts, checking the deadline at each
     let, into And and Or nodes over literals. Literal-branching search:
     atoms are absorbed into the cube with a closure check each time,
-    pending disjunctions (mask clauses, else lists of their undecided
-    parts) are simplified against the current assignment, lone survivors
-    propagate in unit rounds, and branching takes one part of the shortest
-    pending disjunction at a time, learning its complement when a branch
-    fails. One closure serves the whole search; its literals are the cube.
-    The assignment maps a literal's `atom`, shared by both kinds and both
-    orientations, to the literal assumed for it. A failed branch undoes
-    both, and the masks, to where they stood before it.
+    pending disjunctions, each one clause of part bits and masks, are
+    decided against the assignment's masks, lone survivors propagate in
+    unit rounds, and branching takes one part of the shortest pending
+    disjunction at a time, learning its complement when a branch fails.
+    One closure serves the whole search; its literals are the cube. A
+    failed branch undoes it, and the masks, to where they stood before it.
     """
     stats = {"cubes_spent": 0}
     closure = CongruenceState()
-    assign = {}
-    decided = assign.get
     bits = _Bits()
     eqs = nes = 0  # the bits of the atoms assigned an Eq, and a Ne
 
@@ -239,14 +234,15 @@ def _find_sat_cube(hyp, concl, budget: Budget):
         nonlocal eqs, nes
         if lit.lhs is lit.rhs:
             return lit.__class__ is Eq
-        got = decided(lit.atom)
-        if got is not None:
-            return got.__class__ is lit.__class__
-        assign[lit.atom] = lit
+        bit = bits[lit.atom]
+        if bit & eqs:
+            return lit.__class__ is Eq
+        if bit & nes:
+            return lit.__class__ is Ne
         if lit.__class__ is Eq:
-            eqs |= bits[lit.atom]
+            eqs |= bit
         else:
-            nes |= bits[lit.atom]
+            nes |= bit
         budget.count(stats, "cubes_spent")
         budget.check_time(stats)
         return closure.assume(lit)
@@ -260,17 +256,28 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             if kind is And:
                 obligations.extend(g.parts)
             elif kind is Or:
-                em = nm = 0  # the bits of its Eq and of its Ne parts
+                # (parts, their bits, Eq mask, Ne mask, the bits met twice).
+                # An And part's bit is keyed by -id(part), which no atom
+                # (a pair key, at least 0) is, and sits in the Eq mask,
+                # where no literal assigns it; a != a gets bit 0, so it is
+                # never live.
+                pbits, em, nm, rep = [], 0, 0, 0
                 for p in g.parts:
-                    if p.__class__ is not Eq and p.__class__ is not Ne or p.lhs is p.rhs or (em | nm) & bits[p.atom]:
-                        ors.append(list(g.parts))
-                        break
-                    if p.__class__ is Eq:
-                        em |= bits[p.atom]
+                    kind = p.__class__
+                    if kind is Eq or kind is Ne:
+                        if p.lhs is p.rhs and kind is Eq:
+                            break  # a = a: the clause always holds
+                        bit = 0 if p.lhs is p.rhs else bits[p.atom]
                     else:
-                        nm |= bits[p.atom]
+                        bit = bits[-id(p)]
+                    rep |= bit & (em | nm)
+                    if kind is Ne:
+                        nm |= bit
+                    else:
+                        em |= bit
+                    pbits.append(bit)
                 else:
-                    ors.append((g.parts, em, nm))
+                    ors.append((g.parts, pbits, em, nm, rep))
             elif kind is Eq or kind is Ne:
                 if not assume(g):
                     return False
@@ -286,40 +293,16 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             units, pending = [], []
             free = ~(eqs | nes)
             for g in ors:
-                if g.__class__ is tuple:
-                    # A mask clause: decided by int ops over its atoms' bits.
-                    parts, em, nm = g
-                    if em & eqs or nm & nes:
-                        continue
-                    live = (em | nm) & free
-                    if not live:
-                        return None
-                    if live & (live - 1):
-                        pending.append(g)
-                    else:
-                        units.append(next(p for p in parts if p.atom not in assign))
+                parts, pbits, em, nm, rep = g
+                if em & eqs or nm & nes:
                     continue
-                parts = []
-                for p in g:
-                    kind = p.__class__
-                    if kind is Eq or kind is Ne:
-                        if p.lhs is p.rhs:
-                            if kind is Eq:
-                                break
-                            continue
-                        got = decided(p.atom)
-                        if got is not None:
-                            if got.__class__ is kind:
-                                break
-                            continue
-                    parts.append(p)
+                live = (em | nm) & free
+                if not live:
+                    return None
+                if live & (live - 1) or live & rep:
+                    pending.append(g)
                 else:
-                    if not parts:
-                        return None
-                    if len(parts) == 1:
-                        units.append(parts[0])
-                    else:
-                        pending.append(parts)
+                    units.append(parts[pbits.index(live)])
             if not units:
                 break
             # The scan order is part of the pinned search order: clauses
@@ -332,12 +315,15 @@ def _find_sat_cube(hyp, concl, budget: Budget):
 
         if not pending:
             return list(closure.lits)
-        pending.sort(key=lambda g: len(g) if g.__class__ is list else ((g[1] | g[2]) & free).bit_count())
-        parts, rest = pending[0], pending[:0:-1]
-        if parts.__class__ is tuple:
-            parts = [p for p in parts[0] if p.atom not in assign]
-        for p in parts:
-            mark, assigned, masks = len(closure.trail), len(assign), (eqs, nes)
+
+        def width(g) -> int:  # its live parts: one per live bit, unless an atom repeats
+            live = (g[2] | g[3]) & free
+            return sum(1 for bit in g[1] if bit & live) if live & g[4] else live.bit_count()
+
+        pending.sort(key=width)
+        (parts, pbits, *_), rest = pending[0], pending[:0:-1]
+        for p in [p for p, bit in zip(parts, pbits) if bit & free]:
+            mark, masks = len(closure.trail), (eqs, nes)
             branch = []
             if absorb([p], branch):
                 res = search(branch + rest)
@@ -345,8 +331,6 @@ def _find_sat_cube(hyp, concl, budget: Budget):
                     return res
             closure.undo(mark)
             eqs, nes = masks
-            while len(assign) > assigned:
-                assign.popitem()
             kind = p.__class__
             if (kind is Eq or kind is Ne) and not assume(p.neg):
                 return None

@@ -331,13 +331,17 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
 # --- printing --------------------------------------------------------------
 
 
-def format_term(t: Term) -> str:
+def format_term(t: Term, check=None) -> str:
+    """t as text. check, when given, is called before its first piece of text
+    and before every 4096th piece after that."""
     if not t.args:
         return t.head.name
     # An explicit stack of terms and text, so a deep term cannot exhaust the call stack.
     out = []
     stack = [t]
     while stack:
+        if check is not None and not len(out) & 4095:
+            check()
         u = stack.pop()
         if type(u) is str:
             out.append(u)
@@ -350,29 +354,30 @@ def format_term(t: Term) -> str:
     return "".join(out)
 
 
-def format_formula(f, memo: dict | None = None) -> str:
+def format_formula(f, memo: dict | None = None, check=None) -> str:
     """f as text. memo, keyed by node identity, holds each node formatted
     through it together with the node, so a node met again, in this call or
-    a later one given the same memo, costs one lookup."""
+    a later one given the same memo, costs one lookup. check goes to each
+    `format_term`."""
     if memo is None:
         memo = {}
     hit = memo.get(id(f))
     if hit is not None:
         return hit[1]
     if isinstance(f, Eq):
-        text = f"(= {format_term(f.lhs)} {format_term(f.rhs)})"
+        text = f"(= {format_term(f.lhs, check)} {format_term(f.rhs, check)})"
     elif isinstance(f, Ne):
-        text = f"(not (= {format_term(f.lhs)} {format_term(f.rhs)}))"
+        text = f"(not (= {format_term(f.lhs, check)} {format_term(f.rhs, check)}))"
     elif isinstance(f, (And, Or)):
         # A part met before is looked up here, without a call.
-        texts = [hit[1] if (hit := memo.get(id(p))) else format_formula(p, memo) for p in f.parts]
+        texts = [hit[1] if (hit := memo.get(id(p))) else format_formula(p, memo, check) for p in f.parts]
         text = ("(and " if isinstance(f, And) else "(or ") + " ".join(texts) + ")"
     elif isinstance(f, Implies):
-        text = f"(=> {format_formula(f.lhs, memo)} {format_formula(f.rhs, memo)})"
+        text = f"(=> {format_formula(f.lhs, memo, check)} {format_formula(f.rhs, memo, check)})"
     elif isinstance(f, Let):
         # Nested single-binding lets: one SMT-LIB let binds in parallel.
-        opens = "".join(f"(let (({y.name} {format_term(t)})) " for y, t in f.bindings)
-        text = opens + format_formula(f.body, memo) + ")" * len(f.bindings)
+        opens = "".join(f"(let (({y.name} {format_term(t, check)})) " for y, t in f.bindings)
+        text = opens + format_formula(f.body, memo, check) + ")" * len(f.bindings)
     elif f is TRUE or isinstance(f, type(TRUE)):
         text = "true"
     elif f is FALSE or isinstance(f, type(FALSE)):
@@ -383,8 +388,6 @@ def format_formula(f, memo: dict | None = None) -> str:
     return text
 
 
-def print_ui(ui, mode: str = "compressed") -> str:
-    """Render a UI result; mode is compressed or unravelled."""
-    if mode not in ("compressed", "unravelled"):
-        raise ValueError(f"unknown print mode {mode}")
-    return format_formula(ui.formula(unravel=(mode == "unravelled")), ui.formats)
+def print_ui(ui, unravel: bool = False, check=None) -> str:
+    """Render a UI result, in let form or unravelled; check as in `format_formula`."""
+    return format_formula(ui.formula(unravel=unravel), ui.formats, check)

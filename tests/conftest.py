@@ -7,7 +7,8 @@ import random
 import pytest
 
 from eufui import errors, euf
-from eufui.parse import Problem
+from eufui.euf import euf_equiv
+from eufui.parse import Problem, parse, parse_formula
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
 
@@ -43,6 +44,17 @@ def assumed_cubes(monkeypatch):
 
     monkeypatch.setattr(euf.CongruenceState, "assume", recording)
     return cubes
+
+
+def assert_equiv(formula, problem, target_text):
+    """formula is EUF-equivalent to target_text, both read over problem's
+    symbols; formula may be printed text, and problem its source text."""
+    if isinstance(problem, str):
+        problem = parse(problem)
+    if isinstance(formula, str):
+        formula = parse_formula(formula, problem.symbols)
+    ok, witness = euf_equiv(formula, parse_formula(target_text, problem.symbols))
+    assert ok, witness
 
 
 class Sig:

@@ -7,15 +7,15 @@ import random
 import time
 
 import pytest
-from conftest import doubling_chain, random_problem
+from conftest import assert_equiv, doubling_chain, random_problem
 from test_conditional import (
     THREE_CHAIN,
     THREE_CHAIN_TARGETS,
-    assert_equiv,
     assert_merges_persist,
     chain_gadget,
     chain_shape,
     clause_str,
+    gadget_clauses,
     minimal_connecting_sets,
 )
 from test_preprocess import EX16, EX22, EX39
@@ -143,30 +143,8 @@ def test_criterion_06_connection_gadget_matches_brute_force():
     text, edges = chain_gadget(4)
     problem, _, _, cond = run_both(text)
     assert chain_shape(cond) == [[]]
-
-    def is_param_only(c):
-        return all(t.head.kind != "quantified" for t in c.operands)
-
-    param_clauses = [c for c in cond.s3 if is_param_only(c)]
-    reduced = [
-        c
-        for c in param_clauses
-        if not any(
-            d is not c
-            and d.consequent == c.consequent
-            and set(d.antecedent) < set(c.antecedent)
-            for d in param_clauses
-        )
-    ]
+    _, reduced, got = gadget_clauses(cond.s3)
     assert all(clause_str(c).endswith("->zp0=z0") for c in reduced)
-
-    def edge_of(name):
-        digits = name[2:] if name.startswith("zp") else name[1:]
-        return (int(digits[0]), int(digits[1]))
-
-    got = {
-        frozenset(edge_of(a.lhs.head.name) for a in c.antecedent) for c in reduced
-    }
     assert got == minimal_connecting_sets(4, edges)
     assert time.monotonic() - started < 30.0
 

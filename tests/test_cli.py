@@ -4,17 +4,16 @@ from __future__ import annotations
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
-from conftest import linear_chain
+from conftest import assert_equiv, doubling_chain, linear_chain
 from test_conditional import THREE_CHAIN
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX22_CLOSED, EX22_CLOSED_TARGET, EX22_TARGET, EX39_TARGET
 
 from eufui import cli, errors
-from eufui.euf import euf_equiv
-from eufui.parse import parse, parse_formula
 
 DEMO_INPUTS = sorted((Path(__file__).resolve().parent.parent / "demos" / "inputs").glob("*.smt"))
 CONDITIONAL_STATS = {"cdags_visited", "clauses_created", "num_cdags", "s2_size", "s3_size"}
@@ -34,14 +33,6 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def assert_equiv(printed, source_text, target_text):
-    symbols = parse(source_text).symbols
-    got = parse_formula(printed, symbols)
-    want = parse_formula(target_text, symbols)
-    ok, witness = euf_equiv(got, want)
-    assert ok, witness
 
 
 # Exit 0: plain runs and verification successes.
@@ -310,6 +301,21 @@ def test_timeout_checked_before_printing(tmp_path, capsys, monkeypatch):
     assert out == ""
     counters = json.loads(err.split("timeout exceeded ", 1)[1])
     assert set(counters) == CONDITIONAL_STATS
+
+
+def test_timeout_bounds_printing(tmp_path, capsys):
+    # Unravelled, the chain is a term of 2^20 applications: about 7 MB of
+    # text and a second or more to format. The deadline passes while it is
+    # formatted, and nothing reaches stdout.
+    path = write(tmp_path, doubling_chain(20))
+    for algo in ("conditional", "both"):
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, ["--algorithm", algo, "--unravel", "--timeout-ms", "50", path])
+        assert code == 3
+        assert out == ""
+        counters = json.loads(err.split("timeout exceeded ", 1)[1])
+        assert CONDITIONAL_STATS <= set(counters)
+        assert time.monotonic() - started < 0.5
 
 
 # Rule 2 in flattening: a chain of e-free definitions never reaches saturation.

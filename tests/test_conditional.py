@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from conftest import Sig, random_problem
+from conftest import Sig, assert_equiv, random_problem
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX16_TARGET, EX22_TARGET, EX39_TARGET
 
@@ -67,12 +67,6 @@ def run_text(text, **kwargs):
     problem = parse(text)
     res = compute_conditional_ui(flatten(problem), **kwargs)
     return problem, res
-
-
-def assert_equiv(formula, problem, target_text):
-    target = parse_formula(target_text, problem.symbols)
-    ok, witness = euf_equiv(formula, target)
-    assert ok, witness
 
 
 def clause_str(c: HornClause) -> str:
@@ -210,15 +204,10 @@ def minimal_connecting_sets(n, edges):
     return set(minimal)
 
 
-def test_chain_gadget_only_empty_chain_and_path_clauses():
-    text, edges = chain_gadget(4)
-    _, res = run_text(text)
-    assert chain_shape(res) == [[]]
-
-    def is_param_only(c):
-        return all(t.head.kind != "quantified" for t in c.operands)
-
-    param_clauses = [c for c in res.s3 if is_param_only(c)]
+def gadget_clauses(s3):
+    """The chain gadget's parameter-only clauses in s3, those of them no
+    other one subsumes, and the edge sets the latter's antecedents name."""
+    param_clauses = [c for c in s3 if all(t.head.kind != "quantified" for t in c.operands)]
     reduced = [c for c in param_clauses
                if not any(d is not c and d.consequent == c.consequent
                           and set(d.antecedent) < set(c.antecedent)
@@ -228,8 +217,15 @@ def test_chain_gadget_only_empty_chain_and_path_clauses():
         digits = name[2:] if name.startswith("zp") else name[1:]
         return (int(digits[0]), int(digits[1]))
 
+    return param_clauses, reduced, {frozenset(edge_of(a.lhs.head.name) for a in c.antecedent) for c in reduced}
+
+
+def test_chain_gadget_only_empty_chain_and_path_clauses():
+    text, edges = chain_gadget(4)
+    _, res = run_text(text)
+    assert chain_shape(res) == [[]]
+    param_clauses, reduced, got = gadget_clauses(res.s3)
     assert all(clause_str(c).endswith("->zp0=z0") for c in reduced)
-    got = {frozenset(edge_of(a.lhs.head.name) for a in c.antecedent) for c in reduced}
     assert got == minimal_connecting_sets(4, edges)
     assert len(got) == 5
     # those clauses are exactly what the empty chain contributes

@@ -254,8 +254,9 @@ def test_many_cube_query_cubes_spent(assumed_cubes):
 
 
 def test_search_assumes_each_atom_once_per_cube(assumed_cubes):
-    # Both disjuncts are one atom. Once a=b fails and a!=b is learned, b=a is
-    # refuted by the assignment, and its complement is already assumed.
+    # Both disjuncts are one atom. The clause stays open, not unit, while the
+    # atom is free. Once a=b fails and a!=b is learned, b=a is refuted by the
+    # assignment, and its complement is already assumed.
     s = Sig()
     f = s.fn("f", 1)
     a, b = s.params("a", "b")
@@ -264,6 +265,35 @@ def test_search_assumes_each_atom_once_per_cube(assumed_cubes):
     assert [len(c) for c in assumed_cubes] == [1, 2, 2]
     for cube in assumed_cubes:
         assert len({frozenset((lit.lhs, lit.rhs)) for lit in cube}) == len(cube)
+
+
+def test_search_absorbs_a_lone_and_part_as_a_unit(assumed_cubes):
+    # Once a != b, each of the first two clauses has one live part. Both are
+    # units of one round, absorbed last first, so the And part's literals
+    # join the cube ahead of y = z; branching on it would put them after.
+    s = Sig()
+    f = s.fn("f", 1)
+    a, b, c, d, x, y, z = s.params("a", "b", "c", "d", "x", "y", "z")
+    hyp = And((
+        Ne(a, b),
+        Or((Eq(a, b), And((Eq(c, d), Eq(intern(f, (c,)), x))))),
+        Or((Eq(a, b), Eq(y, z))),
+        Or((Eq(x, y), Eq(x, z))),
+    ))
+    ok, cube = euf_valid(hyp, FALSE)
+    assert not ok
+    assert cube == [Ne(a, b), Eq(intern(f, (c,)), x), Eq(c, d), Eq(y, z), Eq(x, y)]
+    assert [len(c) for c in assumed_cubes] == [1, 2, 3, 4, 5]
+
+
+def test_search_finds_a_clause_of_trivial_disequalities_false(assumed_cubes):
+    # c != c, d != d and a != a have no live bit, so the first scan finds the
+    # clause false before it branches on the open one.
+    s = Sig()
+    a, b, c, d, x, y, z = s.params("a", "b", "c", "d", "x", "y", "z")
+    hyp = And((Eq(a, b), Or((Eq(x, y), Eq(x, z))), Or((Ne(c, c), Ne(d, d), Ne(a, a)))))
+    assert euf_valid(hyp, FALSE) == (True, None)
+    assert [len(c) for c in assumed_cubes] == [1]
 
 
 def test_shared_evar_residue_cubes_spent(assumed_cubes):
@@ -277,7 +307,8 @@ def test_shared_evar_residue_cubes_spent(assumed_cubes):
 
 
 def test_shared_evar_residue_cubes_spent_at_bench_size(assumed_cubes):
-    # The bench's shared-evar size: 877 clauses, all decided by atom bits.
+    # The bench's shared-evar size: 877 clauses of literals over distinct
+    # atoms, so each is decided by its live bits alone.
     problem = parse(shared_evar_text(7))
     tab = compute_tableaux_ui(flatten(problem))
     assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
@@ -455,10 +486,11 @@ def test_search_reads_lets_and_negations_in_place_seeded(assumed_cubes):
 
 
 def test_search_mixes_mask_and_list_clauses_seeded(assumed_cubes):
-    # A clause of non-trivial literals over distinct atoms is decided by the
-    # atoms' bits; any other keeps the list of its parts. Each query mixes
-    # both: a clause may also get an And part, its first literal flipped
-    # (b = a beside a = b), that literal's complement, or a trivial literal.
+    # Every clause is decided by its parts' bits. Each query mixes clauses
+    # of distinct non-trivial literals with the cases that need a rule: a
+    # clause may also get an And part (a bit no literal assigns), its first
+    # literal flipped (b = a beside a = b) or complemented (a repeated
+    # atom), or a trivial literal (never filed, or bit 0).
     rng = random.Random(20261020)
     queries = []
     for _ in range(200):

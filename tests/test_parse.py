@@ -193,12 +193,10 @@ def test_print_ui_mode_validation():
         formats = {}
 
         def formula(self, unravel):
-            return TRUE
+            return TRUE if unravel else FALSE
 
-    assert print_ui(Dummy(), "compressed") == "true"
-    assert print_ui(Dummy(), "unravelled") == "true"
-    with pytest.raises(ValueError):
-        print_ui(Dummy(), "fancy")
+    assert print_ui(Dummy()) == "false"
+    assert print_ui(Dummy(), unravel=True) == "true"
 
 
 def test_parse_formula_let_shadowing():

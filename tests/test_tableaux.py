@@ -6,14 +6,14 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import random_problem, shared_evar_text
+from conftest import assert_equiv, random_problem, shared_evar_text
 from test_preprocess import EX16, EX22, EX39
 
 from eufui import tableaux
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
 from eufui.formulas import FALSE, expand_lets, mk_and, wrap_definitions
-from eufui.parse import format_formula, parse, parse_formula
+from eufui.parse import format_formula, parse
 from eufui.preprocess import PreprocessedInput, flatten
 from eufui.tableaux import compute_tableaux_ui
 from eufui.terms import Eq, const, mk_symbol, term_is_efree, term_symbols
@@ -46,12 +46,6 @@ def run_text(text, **kwargs):
     problem = parse(text)
     ui = compute_tableaux_ui(flatten(problem), **kwargs)
     return problem, ui
-
-
-def assert_equiv(formula, problem, target_text):
-    target = parse_formula(target_text, problem.symbols)
-    ok, witness = euf_equiv(formula, target)
-    assert ok, witness
 
 
 def test_two_application_example():
