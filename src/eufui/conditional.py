@@ -113,8 +113,9 @@ def _is_rewriter(c: HornClause) -> bool:
     return cq is not None and cq.lhs.head.kind == "quantified" and cq.rhs.head.kind == "quantified"
 
 
-def step1(pre) -> list[HornClause]:
-    """Unit clauses plus one conditional clause per mixed application pair."""
+def step1(pre, budget: Budget = Budget(), stats: dict | None = None) -> list[HornClause]:
+    """Unit clauses plus one conditional clause per mixed application pair; the
+    deadline is checked once per outer application, and a timeout raises with stats."""
     out: list[HornClause] = []
     seen = set()
 
@@ -133,6 +134,7 @@ def step1(pre) -> list[HornClause]:
 
     funeqs = [l for l in pre.s1 if is_app_eq(l)]
     for i in range(len(funeqs)):
+        budget.check_time(stats)
         for j in range(i + 1, len(funeqs)):
             a, b = funeqs[i], funeqs[j]
             if a.lhs.head is not b.lhs.head or a.rhs is b.rhs:
@@ -344,7 +346,7 @@ def compute_conditional_ui(pre, budget: Budget = Budget(), order: str = "fifo") 
     if pre.falsified:
         return UiResultCnf([], [], [], [], [], stats, falsified=True)
 
-    s2 = step1(pre)
+    s2 = step1(pre, budget, stats)
     stats["s2_size"] = len(s2)
     s3 = step2(s2, budget, order, stats)
     stats["s3_size"] = len(s3)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import is_
 
-from .terms import Eq, Ne, Symbol, Term, term_substitute, term_symbols, term_tree_size
+from .terms import Eq, Ne, Symbol, Term, term_substitute, term_symbols
 
 
 @dataclass(frozen=True)
@@ -190,20 +190,18 @@ def _nnf(f: Formula, positive: bool, env: dict[Symbol, Term], memo: dict, check)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def fsize(f: Formula, tmemo: dict | None = None) -> int:
-    """Node count, with atom terms counted as expanded trees."""
-    if tmemo is None:
-        tmemo = {}
+def fsize(f: Formula) -> int:
+    """Node count, with atom terms counted as expanded trees: each term's interned `size`."""
     if isinstance(f, (FTrue, FFalse)):
         return 1
     if isinstance(f, (Eq, Ne)):
-        return 1 + term_tree_size(f.lhs, tmemo) + term_tree_size(f.rhs, tmemo)
+        return 1 + f.lhs.size + f.rhs.size
     if isinstance(f, (And, Or)):
-        return 1 + sum(fsize(p, tmemo) for p in f.parts)
+        return 1 + sum(map(fsize, f.parts))
     if isinstance(f, Implies):
-        return 1 + fsize(f.lhs, tmemo) + fsize(f.rhs, tmemo)
+        return 1 + fsize(f.lhs) + fsize(f.rhs)
     if isinstance(f, Let):
-        return sum(1 + term_tree_size(t, tmemo) for _, t in f.bindings) + fsize(f.body, tmemo)
+        return sum(1 + t.size for _, t in f.bindings) + fsize(f.body)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -29,7 +29,6 @@ from .terms import (
     lit_substitute,
     mk_symbol,
     orient,
-    term_is_efree,
     term_substitute,
 )
 
@@ -71,7 +70,7 @@ def flatten(problem, budget: Budget = Budget()) -> PreprocessedInput:
     def atom_of(t: Term) -> Term:
         if not t.args:
             return t
-        if term_is_efree(t):
+        if t.efree:
             return y_for(t)
         app = intern(t.head, tuple(atom_of(a) for a in t.args))
         got = eshare.get(app.id)

@@ -41,7 +41,6 @@ from .terms import (
     lit_substitute,
     mk_symbol,
     orient,
-    term_is_efree,
 )
 
 RULE_NAMES = ("1.0", "1.i", "1.ii", "2", "3", "4")
@@ -60,7 +59,7 @@ def _classify(lit) -> int:
         if lhs.head.kind == "quantified":
             if rhs.head.kind == "quantified":
                 return _QPAIR
-            if term_is_efree(rhs):
+            if rhs.efree:
                 return _DEFINES
         elif is_app_definition(lit):
             return _DEFINES

@@ -3,7 +3,8 @@
 Terms are hash-consed into a table on their head symbol, so structural
 equality is identity and a term lives exactly as long as the symbols of
 the problem that built it. Ids come from one counter, so iteration order
-is stable across runs. All values here are immutable once constructed.
+is stable across runs. All values here are immutable once constructed,
+and `intern` sets a term's e-freeness and expanded size as it builds it.
 """
 from __future__ import annotations
 
@@ -50,9 +51,14 @@ def mk_symbol(name: str, arity: int, kind: str) -> Symbol:
 
 @dataclass(frozen=True, eq=False)
 class Term:
+    """`efree` (no quantified symbol occurs in the term) and `size` (the node count
+    of its fully expanded tree) are set by `intern` from the arguments' own."""
+
     id: int
     head: Symbol
     args: tuple["Term", ...]
+    efree: bool
+    size: int
 
     def __repr__(self) -> str:
         if not self.args:
@@ -68,7 +74,9 @@ def intern(head: Symbol, args: tuple[Term, ...] | list[Term] = ()) -> Term:
     key = tuple(a.id for a in args)
     t = head.terms.get(key)
     if t is None:
-        t = head.terms[key] = Term(next(_term_ids), head, args)
+        efree = head.kind != "quantified" and all(a.efree for a in args)
+        size = 1 + sum(a.size for a in args)
+        t = head.terms[key] = Term(next(_term_ids), head, args, efree, size)
     return t
 
 
@@ -87,17 +95,6 @@ def term_symbols(t: Term) -> set[Symbol]:
     return out
 
 
-def term_is_efree(t: Term) -> bool:
-    """True when t contains no quantified symbol."""
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u.head.kind == "quantified":
-            return False
-        stack.extend(u.args)
-    return True
-
-
 def term_substitute(t: Term, mapping: dict[Symbol, Term], memo: dict | None = None) -> Term:
     """Replace 0-ary occurrences of the mapped symbols throughout t."""
     if memo is None:
@@ -111,26 +108,6 @@ def term_substitute(t: Term, mapping: dict[Symbol, Term], memo: dict | None = No
         r = intern(t.head, tuple(term_substitute(a, mapping, memo) for a in t.args))
     memo[t.id] = r
     return r
-
-
-def term_tree_size(t: Term, memo: dict | None = None) -> int:
-    """Node count of the fully expanded tree (not the shared DAG)."""
-    if memo is None:
-        memo = {}
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        if u.id in memo:
-            stack.pop()
-            continue
-        for a in u.args:
-            if a.id not in memo:
-                stack.append(a)
-                break
-        else:
-            stack.pop()
-            memo[u.id] = 1 + sum(memo[a.id] for a in u.args)
-    return memo[t.id]
 
 
 def pair_key(a: Term, b: Term) -> int:
@@ -206,7 +183,7 @@ def is_app_definition(lit) -> bool:
     return (
         is_app_eq(lit)
         and lit.rhs.head.kind == "quantified"
-        and all(term_is_efree(a) for a in lit.lhs.args)
+        and all(a.efree for a in lit.lhs.args)
     )
 
 
@@ -218,7 +195,7 @@ def orient(lit):
 
 
 def lit_is_efree(lit) -> bool:
-    return term_is_efree(lit.lhs) and term_is_efree(lit.rhs)
+    return lit.lhs.efree and lit.rhs.efree
 
 
 def lit_substitute(lit, mapping: dict[Symbol, Term], memo: dict | None = None):
@@ -258,7 +235,7 @@ def compatible(t: Term, u: Term):
     for a, b in zip(t.args, u.args):
         if a is b:
             continue
-        if not (term_is_efree(a) and term_is_efree(b)):
+        if not (a.efree and b.efree):
             return None
         key = pair_key(a, b)
         if key not in seen:

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import assert_equiv, doubling_chain, linear_chain
+from conftest import assert_equiv, doubling_chain, linear_chain, shared_evar_text
 from test_conditional import THREE_CHAIN
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX22_CLOSED, EX22_CLOSED_TARGET, EX22_TARGET, EX39_TARGET
@@ -278,6 +280,37 @@ def test_timeout_bounds_flatten(tmp_path, capsys):
     assert err == "resource limit: timeout exceeded\n"
 
 
+def nested_pairs_input(k, depth=250):
+    """g(t_j) = z_j for j < k, t_j = f(..f(e, z_j).., z_j) nested depth deep,
+    and g(e) != z0: step 1 pairs every two f applications."""
+    decls = "".join(f"(declare-const z{j} U)" for j in range(k))
+    lits = []
+    for j in range(k):
+        t = "e"
+        for _ in range(depth):
+            t = f"(f {t} z{j})"
+        lits.append(f"(assert (= (g {t}) z{j}))")
+    return (
+        "(declare-sort U 0)(declare-fun f (U U) U)(declare-fun g (U) U)(declare-const e U)"
+        f"{decls}(eliminate e){''.join(lits)}(assert (not (= (g e) z0)))"
+    )
+
+
+def test_timeout_bounds_step1(tmp_path, capsys):
+    # Flattening takes tens of milliseconds; step 1 alone would build
+    # 125,257 clauses over seconds before step 2 counts any of them.
+    path = write(tmp_path, nested_pairs_input(2))
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, ["--timeout-ms", "200", path])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: timeout exceeded ")
+    counters = json.loads(err.split("timeout exceeded ", 1)[1])
+    assert set(counters) == CONDITIONAL_STATS
+    assert counters["clauses_created"] == counters["s2_size"] == 0
+    assert time.monotonic() - started < 1.0
+
+
 def test_timeout_checked_before_printing(tmp_path, capsys, monkeypatch):
     class Clock:
         now = 0.0
@@ -435,3 +468,75 @@ def golden_run(capsys, path, flags):
 def test_demo_output_is_golden(path, flags, capsys):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden_run(capsys, path, flags) == golden[f"{path.name} {flags}"]
+
+
+# The README flag table documents every option of the parser.
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    flag_cells = [line.split("|")[1] for line in readme.splitlines() if line.startswith("| `")]
+    documented = {flag for cell in flag_cells for flag in re.findall(r"`(--?[a-z-]+|file)", cell)}
+    options = set()
+    for action in cli.build_parser()._actions:
+        if "--help" in action.option_strings:
+            continue
+        names = action.option_strings or [action.dest]
+        options.update(names)
+        assert set(names) <= documented, names
+        if action.choices:
+            assert any(f"`{names[0]} {{{','.join(action.choices)}}}`" in cell for cell in flag_cells), names
+    assert documented <= options
+
+
+# The documented exit contract on mutated inputs: codes 0-3 only, never an
+# escaping exception, exit 1 only with verification-failed on stdout, and
+# nothing on stdout with exits 2 and 3.
+
+FUZZ_FLAG_SETS = [
+    # the benchmark's corpus and shared-evar flag sets
+    ["--algorithm", "both", "--verify", "equivalence", "--max-cdags", "2000", "--max-clauses", "1000"],
+    ["--algorithm", "both", "--verify", "residue"],
+    ["--max-cubes", "3"],
+    ["--algorithm", "tableaux", "--max-branches", "2"],
+    ["--timeout-ms", "5"],
+    ["--strategy", "reversed", "--prune", "semantic"],
+]
+FUZZ_WORDS = ["not", "=", "distinct", "assert", "eliminate", "declare-const", "compute-ui", "U", "e", "0", ";"]
+
+
+def mutate(rng, text, edits):
+    """text after edits random token edits. Most replace a word by a word of
+    the text or of FUZZ_WORDS, which keeps the parentheses balanced; the
+    rest delete a token or insert a word or a parenthesis."""
+    tokens = re.findall(r"[()]|[^\s()]+", text)
+    words = [t for t in tokens if t not in ("(", ")")] + FUZZ_WORDS
+    for _ in range(edits):
+        i = rng.randrange(len(tokens))
+        roll = rng.random()
+        if roll < 0.6:
+            if tokens[i] not in ("(", ")"):
+                tokens[i] = rng.choice(words)
+        elif roll < 0.8:
+            del tokens[i]
+        else:
+            tokens.insert(i, rng.choice(words + ["(", ")"]))
+    return "\n".join(tokens)
+
+
+def test_exit_contract_holds_on_mutated_inputs(tmp_path, capsys):
+    rng = random.Random(20261020)
+    bases = [p.read_text() for p in DEMO_INPUTS]
+    bases += [doubling_chain(3), shared_evar_text(3), linear_chain(4)]
+    path = tmp_path / "mutant.smt"
+    codes = Counter()
+    for base in bases:
+        for _ in range(7):
+            path.write_text(mutate(rng, base, rng.randint(1, 3)))
+            for flags in FUZZ_FLAG_SETS:
+                code, out, _ = run_cli(capsys, flags + [str(path)])
+                assert code in (0, 1, 2, 3)
+                assert code != 1 or out.startswith("verification-failed")
+                assert code not in (2, 3) or out == ""
+                codes[code] += 1
+    # Both the accepted and the rejected side of the parser are reached.
+    assert codes[0] and codes[2], codes

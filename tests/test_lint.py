@@ -1,5 +1,5 @@
-"""No module under src/, tests/ or demos/ imports a name it never reads,
-and nothing under src/ is defined that src/ never names.
+"""No module under src/, tests/, demos/ or bench/ imports a name it never
+reads, and nothing under src/ is defined that src/ never names.
 
 Two stdlib `ast` scans. Every name an import binds must be read somewhere
 in the same module, as a bare name or as the base of an attribute access;
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+MODULES = sorted(p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
 SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
 ENTRY_POINTS = {"parse_formula", "replay_check"}
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -26,7 +27,7 @@ from eufui.terms import (
     mk_symbol,
     orient,
     term_substitute,
-    term_tree_size,
+    term_symbols,
 )
 
 
@@ -282,6 +283,48 @@ def test_doubling_chain_compression():
         entries.append((y, intern(f, (prev, prev))))
         prev = const(y)
     out = term_substitute(prev, let_env({}, entries))
-    assert term_tree_size(out) == 2 ** 11 - 1
+    assert out.size == 2 ** 11 - 1
     assert len(entries) == 10
 
+
+
+def naive_tree_size(t):
+    return 1 + sum(naive_tree_size(a) for a in t.args)
+
+
+def test_intern_time_facts_match_term_walks():
+    # Random DAGs over all four symbol kinds: each new application takes the
+    # previous one as first argument, up to depth 50, and its other
+    # arguments from a pool of small shared subterms.
+    rng = random.Random(23)
+    s = Sig()
+    funs = [s.fn(f"f{i}", arity) for i, arity in enumerate((1, 2, 3, 1, 2))]
+    leaves = s.params("p0", "p1") + s.evars("e0", "e1") + s.consts("defined", "y0") + s.consts("function", "c0")
+    shared = list(leaves)
+    checked = 0
+    for _ in range(40):
+        t = rng.choice(leaves)
+        for depth in range(1, rng.randint(1, 50) + 1):
+            f = rng.choice(funs)
+            t = intern(f, (t, *(rng.choice(shared) for _ in range(f.arity - 1))))
+            if depth < 3:
+                shared.append(t)
+            assert t.efree == all(sym.kind != "quantified" for sym in term_symbols(t))
+            assert t.size == naive_tree_size(t)
+            checked += 1
+    assert checked > 500
+    assert any(u.efree for u in shared) and not all(u.efree for u in shared)
+
+
+def test_size_of_a_huge_shared_dag_is_read_not_walked():
+    s = Sig()
+    f = s.fn("f", 2)
+    z = s.params("z")[0]
+    (e,) = s.evars("e")
+    for leaf, efree in ((z, True), (e, False)):
+        t = leaf
+        for _ in range(40):
+            t = intern(f, (t, t))
+        assert t.size == 2 ** 41 - 1
+        assert t.efree is efree
+        assert formulas.fsize(Eq(t, z)) == 2 ** 41 + 1
