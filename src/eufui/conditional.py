@@ -114,8 +114,14 @@ def _is_rewriter(c: HornClause) -> bool:
 
 
 def step1(pre, budget: Budget = Budget(), stats: dict | None = None) -> list[HornClause]:
-    """Unit clauses plus one conditional clause per mixed application pair; the
-    deadline is checked once per outer application, and a timeout raises with stats."""
+    """Unit clauses plus one conditional clause per mixed application pair.
+
+    Each clause counts against the clause cap as it is built, and
+    `s2_size` follows it; the deadline is checked once per outer
+    application. Either limit raises with stats.
+    """
+    if stats is None:
+        stats = {"clauses_created": 0}
     out: list[HornClause] = []
     seen = set()
 
@@ -123,6 +129,8 @@ def step1(pre, budget: Budget = Budget(), stats: dict | None = None) -> list[Hor
         if c is not None and c not in seen:
             seen.add(c)
             out.append(c)
+            stats["s2_size"] = len(out)
+            budget.count(stats, "clauses_created")
 
     for lit in pre.s1:
         if is_app_eq(lit):
@@ -168,14 +176,13 @@ def _subsumes(d: HornClause, c: HornClause) -> bool:
 def step2(clauses, budget: Budget = Budget(), order: str = "fifo", stats: dict | None = None):
     """Given-clause saturation under quantified-variable rewriting; returns the saturated list.
 
-    `clauses_created` in stats counts the input clauses and every inferred
-    one against the clause cap.
+    `clauses_created` in stats counts every inferred clause against the
+    clause cap; step 1 counted the input clauses as it built them.
     """
     if order not in ("fifo", "lifo"):
         raise ValueError(f"unknown saturation order {order}")
     if stats is None:
         stats = {"clauses_created": 0}
-    budget.count(stats, "clauses_created", len(clauses))
     seen = set(clauses)
     queue = deque(clauses)
     processed: list[HornClause] = []
@@ -347,7 +354,6 @@ def compute_conditional_ui(pre, budget: Budget = Budget(), order: str = "fifo") 
         return UiResultCnf([], [], [], [], [], stats, falsified=True)
 
     s2 = step1(pre, budget, stats)
-    stats["s2_size"] = len(s2)
     s3 = step2(s2, budget, order, stats)
     stats["s3_size"] = len(s3)
 

@@ -10,26 +10,35 @@ assumed literals, and the deadline is checked once before the search, then
 at each assume and at each let the search expands. Every change the
 closure makes goes on its trail, and a failed branch undoes the trail to
 the mark taken before it; only a union can break a recorded disequality,
-so an assume that makes none checks just its own. The search reads its
-query through `formulas._nnf`, once, into negation normal form without
-lets. Its assignment is two masks over one bit per interned `atom`, the
-atoms assigned an Eq and those assigned a Ne, so deciding a = b also
-decides b = a, a != b and b != a (Nieuwenhuis, Oliveras & Tinelli, JACM
-2006). Every disjunction is filed as its parts' bits and the masks of its
-Eq and of its Ne parts, so the search finds it satisfied, false, unit or
-open with a few int operations; an `And` part has a bit of its own, which
-no literal assigns, so it stays live until it is absorbed. The closure
-never deletes a signature: a stale one holds a merged-away root, which no
-`find` returns until that merge is undone. A union puts the root with the
-shorter use list under the other, so an application only ever moves to a
-use list at least twice as long (Downey, Sethi & Tarjan, JACM 1980).
+so an assume that makes none checks just its own, and the check after a
+union compresses every path it walks. The search reads its query through
+`formulas._nnf`, once, into negation normal form without lets. Its
+assignment is two masks over one bit per interned `atom`, the atoms
+assigned an Eq and those assigned a Ne, so deciding a = b also decides
+b = a, a != b and b != a (Nieuwenhuis, Oliveras & Tinelli, JACM 2006).
+Every disjunction is filed as its parts' bits and the masks of its Eq and
+of its Ne parts, so the search finds it satisfied, false, unit or open
+with a few int operations; an `And` part has a bit of its own, which no
+literal assigns, so it stays live until it is absorbed. A conclusion that
+is a disjunction of conjunctions, or one conjunction, is negated in one
+pass: each conjunction of distinct non-trivial literals is filed as a
+negated clause over its own parts, its masks swapped, and a part's
+complement is built only when the search assumes it; every other disjunct
+goes through `_nnf`, in order, so the clauses are those of `_nnf`'s
+negation. A Ne part whose sides the closure already holds in one class
+is never branched on: its complement is assumed at once, as after the
+failed branch. The closure never deletes a signature: a stale one holds a
+merged-away root, which no `find` returns until that merge is undone. A
+union puts the root with the shorter use list under the other, so an
+application only ever moves to a use list at least twice as long (Downey,
+Sethi & Tarjan, JACM 1980).
 """
 from __future__ import annotations
 
 from collections import deque
 
 from .errors import Budget
-from .formulas import And, FFalse, FTrue, Or, _nnf, expand_lets, mk_and, nnf
+from .formulas import And, FFalse, FTrue, Or, _nnf, expand_lets, nnf
 from .terms import Eq, Ne, Term
 
 # bench/tracing.py wraps these two names in this module; the search reads
@@ -39,6 +48,7 @@ expand_lets, nnf = expand_lets, nnf
 
 # Trail entry kinds; each entry records one change for `undo` to revert.
 _NODE, _SIG, _UNION, _LINK, _LIT = range(5)
+_LIT_ENTRY = (_LIT,)
 
 
 class CongruenceState:
@@ -142,25 +152,37 @@ class CongruenceState:
         that makes none checks just its own. A broken state stays broken
         until `undo` goes past the assume that broke it.
         """
-        for side in (lit.lhs, lit.rhs):
-            if side.id not in self.parent:
-                self.add(side)
+        lhs, rhs = lit.lhs, lit.rhs
+        if lhs.id not in self.parent:
+            self.add(lhs)
+        if rhs.id not in self.parent:
+            self.add(rhs)
         self.lits.append(lit)
-        self.trail.append((_LIT,))
+        self.trail.append(_LIT_ENTRY)
         unions = self.unions
-        if isinstance(lit, Ne):
-            self.diseqs.append((lit.lhs.id, lit.rhs.id))
+        if lit.__class__ is Ne:
+            self.diseqs.append((lhs.id, rhs.id))
         else:
-            self.pending.append((lit.lhs.id, lit.rhs.id))
-        # Always close: a new application can queue a congruence merge.
-        self.close()
+            self.pending.append((lhs.id, rhs.id))
+        # A new application can queue a congruence merge too.
+        if self.pending:
+            self.close()
         if not self.broken:
             find = self.find
             if self.unions != unions:
-                ok = all(find(i) != find(j) for i, j in self.diseqs)
-            else:
-                ok = lit.__class__ is Eq or find(lit.lhs.id) != find(lit.rhs.id)
-            if not ok:
+                # A side at most one link below its root is read in place;
+                # a longer path goes through `find`, which compresses it.
+                parent = self.parent
+                for i, j in self.diseqs:
+                    ri, rj = parent[i], parent[j]
+                    if parent[ri] != ri:
+                        ri = find(i)
+                    if parent[rj] != rj:
+                        rj = find(j)
+                    if ri == rj:
+                        self.broken = len(self.lits)
+                        break
+            elif lit.__class__ is Ne and find(lhs.id) == find(rhs.id):
                 self.broken = len(self.lits)
         return not self.broken
 
@@ -215,14 +237,17 @@ def _find_sat_cube(hyp, concl, budget: Budget):
 
     Both may hold lets and connectives in either polarity; `formulas._nnf`
     reads them once, when the search starts, checking the deadline at each
-    let, into And and Or nodes over literals. Literal-branching search:
-    atoms are absorbed into the cube with a closure check each time,
-    pending disjunctions, each one clause of part bits and masks, are
-    decided against the assignment's masks, lone survivors propagate in
-    unit rounds, and branching takes one part of the shortest pending
-    disjunction at a time, learning its complement when a branch fails.
-    One closure serves the whole search; its literals are the cube. A
-    failed branch undoes it, and the masks, to where they stood before it.
+    let, into And and Or nodes over literals. A conjunction of distinct
+    non-trivial literals that is concl, or one of its disjuncts, is filed
+    as the clause of its parts' complements without building them.
+    Literal-branching search: atoms are absorbed into the cube with a
+    closure check each time, pending disjunctions, each one clause of part
+    bits and masks, are decided against the assignment's masks, lone
+    survivors propagate in unit rounds, and branching takes one part of the
+    shortest pending disjunction at a time, learning its complement when a
+    branch fails or when the closure already refutes it. One closure serves
+    the whole search; its literals are the cube. A failed branch undoes it,
+    and the masks, to where they stood before it.
     """
     stats = {"cubes_spent": 0}
     closure = CongruenceState()
@@ -247,6 +272,42 @@ def _find_sat_cube(hyp, concl, budget: Budget):
         budget.check_time(stats)
         return closure.assume(lit)
 
+    def clause(parts, negated):
+        """parts filed as (parts, their bits, Eq mask, Ne mask, the bits met
+        twice, negated), or None: a clause with a = a always holds.
+
+        An And part's bit is keyed by -id(part), which no atom (a pair key,
+        at least 0) is, and sits in the Eq mask, where no literal assigns
+        it; a != a gets bit 0, so it is never live. Negated, the parts stand
+        for their complements, so the masks swap, and they must be distinct
+        non-trivial literals.
+        """
+        pbits, em, nm, rep = [], 0, 0, 0
+        for p in parts:
+            kind = p.__class__
+            if kind is Eq or kind is Ne:
+                if p.lhs is not p.rhs:
+                    bit = bits[p.atom]
+                elif negated or kind is Eq:
+                    return None
+                else:
+                    bit = 0
+            elif negated:
+                return None
+            else:
+                bit = bits[-id(p)]
+            rep |= bit & (em | nm)
+            if kind is Ne:
+                nm |= bit
+            else:
+                em |= bit
+            pbits.append(bit)
+        if not negated:
+            return parts, pbits, em, nm, rep, False
+        if rep and len(set(parts)) < len(parts):
+            return None
+        return parts, pbits, nm, em, rep, True
+
     def absorb(obligations, ors) -> bool:
         """Assume the literals under obligations, last first, and file their
         disjunctions in ors; False on a conflict."""
@@ -255,29 +316,12 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             kind = g.__class__
             if kind is And:
                 obligations.extend(g.parts)
+            elif kind is tuple:
+                ors.append(g)
             elif kind is Or:
-                # (parts, their bits, Eq mask, Ne mask, the bits met twice).
-                # An And part's bit is keyed by -id(part), which no atom
-                # (a pair key, at least 0) is, and sits in the Eq mask,
-                # where no literal assigns it; a != a gets bit 0, so it is
-                # never live.
-                pbits, em, nm, rep = [], 0, 0, 0
-                for p in g.parts:
-                    kind = p.__class__
-                    if kind is Eq or kind is Ne:
-                        if p.lhs is p.rhs and kind is Eq:
-                            break  # a = a: the clause always holds
-                        bit = 0 if p.lhs is p.rhs else bits[p.atom]
-                    else:
-                        bit = bits[-id(p)]
-                    rep |= bit & (em | nm)
-                    if kind is Ne:
-                        nm |= bit
-                    else:
-                        em |= bit
-                    pbits.append(bit)
-                else:
-                    ors.append((g.parts, pbits, em, nm, rep))
+                g = clause(g.parts, False)
+                if g is not None:
+                    ors.append(g)
             elif kind is Eq or kind is Ne:
                 if not assume(g):
                     return False
@@ -293,7 +337,7 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             units, pending = [], []
             free = ~(eqs | nes)
             for g in ors:
-                parts, pbits, em, nm, rep = g
+                parts, pbits, em, nm, rep, negated = g
                 if em & eqs or nm & nes:
                     continue
                 live = (em | nm) & free
@@ -302,7 +346,8 @@ def _find_sat_cube(hyp, concl, budget: Budget):
                 if live & (live - 1) or live & rep:
                     pending.append(g)
                 else:
-                    units.append(parts[pbits.index(live)])
+                    p = parts[pbits.index(live)]
+                    units.append(p.neg if negated else p)
             if not units:
                 break
             # The scan order is part of the pinned search order: clauses
@@ -321,8 +366,20 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             return sum(1 for bit in g[1] if bit & live) if live & g[4] else live.bit_count()
 
         pending.sort(key=width)
-        (parts, pbits, *_), rest = pending[0], pending[:0:-1]
+        (parts, pbits, *_, negated), rest = pending[0], pending[:0:-1]
+        parent, find = closure.parent, closure.find
         for p in [p for p, bit in zip(parts, pbits) if bit & free]:
+            if negated:
+                p = p.neg
+            kind = p.__class__
+            if (
+                kind is Ne and p.lhs.id in parent and p.rhs.id in parent
+                and find(p.lhs.id) == find(p.rhs.id)
+            ):
+                # The branch would fail: learn its complement at once.
+                if not assume(p.neg):
+                    return None
+                continue
             mark, masks = len(closure.trail), (eqs, nes)
             branch = []
             if absorb([p], branch):
@@ -331,7 +388,6 @@ def _find_sat_cube(hyp, concl, budget: Budget):
                     return res
             closure.undo(mark)
             eqs, nes = masks
-            kind = p.__class__
             if (kind is Eq or kind is Ne) and not assume(p.neg):
                 return None
         return None
@@ -339,9 +395,45 @@ def _find_sat_cube(hyp, concl, budget: Budget):
     def check():
         budget.check_time(stats)
 
+    def key(g):
+        """Equal for two parts `mk_and` would keep once; a negated clause
+        stands for the Or of its parts' complements."""
+        if g.__class__ is tuple:
+            return g[0]
+        if g.__class__ is Or and all(p.__class__ is Eq or p.__class__ is Ne for p in g.parts):
+            return tuple([p.neg for p in g.parts])
+        return g
+
+    def join(items):
+        """The parts `mk_and(items)` keeps, filed clauses among them, or None for FALSE."""
+        out, seen = [], set()
+        for g in items:
+            kind = g.__class__
+            if kind is FTrue:
+                continue
+            if kind is FFalse:
+                return None
+            for p in g.parts if kind is And else (g,):
+                k = key(p)
+                if k not in seen:
+                    seen.add(k)
+                    out.append(p)
+        return out
+
+    def negation(f):
+        if f.__class__ is And and len(f.parts) > 1:
+            g = clause(f.parts, True)
+            if g is not None:
+                return g
+        return _nnf(f, False, {}, {}, check)
+
+    # `_nnf(concl, False)` of an Or joins one negation per disjunct, and no
+    # `_nnf` result holds an And directly under an And, so one join of hyp
+    # and the negations keeps what `mk_and` of hyp and that join would.
+    disjuncts = concl.parts if concl.__class__ is Or else (concl,)
+    parts = join([_nnf(hyp, True, {}, {}, check), *map(negation, disjuncts)])
     ors = []
-    query = mk_and([_nnf(hyp, True, {}, {}, check), _nnf(concl, False, {}, {}, check)])
-    return search(ors) if absorb([query], ors) else None
+    return search(ors) if parts is not None and absorb(parts, ors) else None
 
 
 def euf_valid(hyp, concl, budget: Budget = Budget()):

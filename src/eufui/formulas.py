@@ -165,15 +165,7 @@ def _nnf(f: Formula, positive: bool, env: dict[Symbol, Term], memo: dict, check)
             return FALSE if kind is Eq else TRUE
         return f if positive else f.neg
     if kind is And or kind is Or:
-        parts = f.parts
-        if (
-            kind is And and not (positive or env)
-            and all((p.__class__ is Eq or p.__class__ is Ne) and p.lhs is not p.rhs for p in parts)
-            and len(set(parts)) == len(parts) > 1
-        ):
-            # What _mk_nary would build: the negations are distinct and non-trivial.
-            return Or(tuple([p.neg for p in parts]))
-        parts = [_nnf(p, positive, env, memo, check) for p in parts]
+        parts = [_nnf(p, positive, env, memo, check) for p in f.parts]
         original = f if positive else None
         if (kind is And) is positive:
             return _mk_nary(And, TRUE, FALSE, parts, original)

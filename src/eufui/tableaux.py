@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import Budget
 from .euf import cc_sat
-from .formulas import expand_lets, mk_and, mk_or, wrap_definitions
+from .formulas import And, expand_lets, mk_and, mk_or, wrap_definitions
 from .parse import format_formula
 from .terms import (
     Eq,
@@ -113,7 +113,7 @@ class _Branch:
         self.ynames = NamePool("y", pre.taken_names, 1)
         # One (method, position, literal) per psi change: the call that undoes it.
         self.trail = []
-        self.in_phi = {}  # phi literal -> copies
+        self.in_phi = set()  # the literals of phi: each is retained once
         self.apart = {}  # atom of a phi disequality -> copies
         self.lhs_count = {}  # left side of a psi application equation -> copies
         self.shared = 0  # copies past the first, over all left sides; rule 1.i applies when > 0
@@ -124,12 +124,15 @@ class _Branch:
         for lit in pre.passthrough:
             self.retain(lit)
 
-    def _put(self, i: int, lit) -> None:
+    def _code(self, lit) -> int:
         code = self._code_of.get(lit)
         if code is None:
             code = self._code_of[lit] = _classify(lit)
+        return code
+
+    def _put(self, i: int, lit) -> None:
         self.psi.insert(i, lit)
-        self.codes.insert(i, code)
+        self.codes.insert(i, self._code(lit))
         if is_app_eq(lit) and _tally(self.lhs_count, lit.lhs, 1) > 1:
             self.shared += 1
 
@@ -168,32 +171,40 @@ class _Branch:
                 self.replace(k, lit_substitute(psi[k], mapping, memo))
 
     def retain(self, lit) -> None:
-        """Append lit to phi."""
+        """Append lit, which is not in phi yet, to phi."""
         self.phi.append(lit)
-        self._count_phi(lit, 1)
+        self.in_phi.add(lit)
+        if lit.__class__ is Ne:
+            _tally(self.apart, lit.atom, 1)
 
-    def _count_phi(self, lit, step: int) -> None:
-        _tally(self.in_phi, lit, step)
-        if isinstance(lit, Ne):
-            _tally(self.apart, lit.atom, step)
-
-    def split(self, i: int, j: int, diffs, k: int) -> None:
+    def split(self, i: int, j: int, diffs, k: int) -> bool:
         """Apply rule 4's successor k to the pair psi[i], psi[j] with these argument diffs.
 
         diffs is `split_of`'s entry. Successor 0 merges the pair and assumes
-        every diff equal; successor k > 0 assumes diff k - 1 apart.
+        every diff equal; successor k > 0 assumes diff k - 1 apart. True
+        when successor 0 also applied rule 3 to the pair's merged equation.
+        Rule 4 split where no other rule applied, so rule 3 would fire next
+        on that equation, and only on it, whenever it is e-free: it goes to
+        phi without passing through psi.
         """
         _, eqs, nes = diffs
         if k:
             self.retain(nes[k - 1])
-            return
+            return False
         a, b = self.psi[i].rhs, self.psi[j].rhs
         self.remove(j)
-        if a is not b:
-            self.add(orient(Eq(a, b)))
         for eq in eqs:
             if eq not in self.in_phi:
                 self.retain(eq)
+        if a is b:
+            return False
+        lit = orient(Eq(a, b))
+        if self._code(lit) != _EFREE:
+            self.add(lit)
+            return False
+        if lit not in self.in_phi:
+            self.retain(lit)
+        return True
 
     def mark(self) -> tuple:
         return len(self.trail), len(self.phi), len(self.delta), self.ynames.next_index, self.resume
@@ -204,8 +215,11 @@ class _Branch:
         while len(trail) > n:
             fn, i, lit = trail.pop()
             fn(self, i, lit)
-        for lit in self.phi[nphi:]:
-            self._count_phi(lit, -1)
+        dropped = self.phi[nphi:]
+        self.in_phi.difference_update(dropped)
+        for lit in dropped:
+            if lit.__class__ is Ne:
+                _tally(self.apart, lit.atom, -1)
         del self.phi[nphi:]
         del self.delta[ndelta:]
 
@@ -260,7 +274,9 @@ def compute_tableaux_ui(
     def fire(b: _Branch):
         """Apply the first matching rule; return its name (None if none) and the outcome."""
         psi, codes = b.psi, b.codes
-        i = first(codes, _TRIVIAL)
+        # Only rules 1.i and 4 can apply when no code is below _APP.
+        low = codes if min(codes, default=_APP) < _APP else ()
+        i = first(low, _TRIVIAL)
         if i >= 0:
             if isinstance(psi[i], Ne):
                 return "1.0", "closed"
@@ -273,11 +289,11 @@ def compute_tableaux_ui(
                 if l1.lhs is l2.lhs:
                     b.replace(apps[x], orient(Eq(l1.rhs, l2.rhs)))
                     return "1.i", "open"
-        i = first(codes, _QPAIR)
+        i = first(low, _QPAIR)
         if i >= 0:
             b.eliminate(i, psi[i].lhs.head, psi[i].rhs)
             return "1.ii", "open"
-        i = first(codes, _DEFINES)
+        i = first(low, _DEFINES)
         if i >= 0:
             lit = psi[i]
             evar, body = (lit.rhs.head, lit.lhs) if lit.lhs.args else (lit.lhs.head, lit.rhs)
@@ -285,7 +301,7 @@ def compute_tableaux_ui(
             b.delta.append((y, body))
             b.eliminate(i, evar, const(y))
             return "2", "open"
-        i = first(codes, _EFREE)
+        i = first(low, _EFREE)
         if i >= 0:
             lit = b.remove(i)
             if lit not in b.in_phi:
@@ -316,8 +332,8 @@ def compute_tableaux_ui(
     while stack:
         mark, successor = stack.pop()
         branch.undo(mark)
-        if successor is not None:
-            branch.split(*successor)
+        if successor is not None and branch.split(*successor):
+            stats["rule_apps"]["3"] += 1
         budget.check_time(stats)
         # Fire rules until the branch splits, closes, or no rule matches.
         while True:
@@ -335,7 +351,9 @@ def compute_tableaux_ui(
         budget.count(stats, "branches_explored")
         if outcome == "terminal" and keep(branch):
             delta, phi = list(branch.delta), list(branch.phi)
-            disjuncts.append(Disjunct(delta, phi, wrap_definitions(delta, mk_and(phi))))
+            # in_phi and the blocking test keep each literal of phi once.
+            body = And(tuple(phi)) if len(phi) > 1 else mk_and(phi)
+            disjuncts.append(Disjunct(delta, phi, wrap_definitions(delta, body)))
 
     formats = {}
     disjuncts.sort(key=lambda d: format_formula(d.formula, formats))

@@ -236,7 +236,8 @@ def test_clause_cap_trips_before_saturation(capsys):
     code, _, err = run_cli(capsys, ["--max-clauses", "10", demo("connection_gadget.smt")])
     assert code == 3
     counters = json.loads(err.split("clause limit exceeded ", 1)[1])
-    assert counters["clauses_created"] == counters["s2_size"] == 21
+    assert counters["clauses_created"] == counters["s2_size"] == 11
+    assert counters["s3_size"] == 0
 
 
 def test_cdag_cap_exits_3(tmp_path, capsys):
@@ -298,7 +299,7 @@ def nested_pairs_input(k, depth=250):
 
 def test_timeout_bounds_step1(tmp_path, capsys):
     # Flattening takes tens of milliseconds; step 1 alone would build
-    # 125,257 clauses over seconds before step 2 counts any of them.
+    # 125,257 clauses over seconds. The counters say how far it got.
     path = write(tmp_path, nested_pairs_input(2))
     started = time.monotonic()
     code, out, err = run_cli(capsys, ["--timeout-ms", "200", path])
@@ -307,7 +308,22 @@ def test_timeout_bounds_step1(tmp_path, capsys):
     assert err.startswith("resource limit: timeout exceeded ")
     counters = json.loads(err.split("timeout exceeded ", 1)[1])
     assert set(counters) == CONDITIONAL_STATS
-    assert counters["clauses_created"] == counters["s2_size"] == 0
+    assert counters["clauses_created"] == counters["s2_size"] > 0
+    assert counters["s3_size"] == 0
+    assert time.monotonic() - started < 1.0
+
+
+def test_clause_cap_bounds_step1(tmp_path, capsys):
+    # Step 1 counts each clause as it builds it, so the cap trips at clause
+    # 1,001 of the 500,516 it would build.
+    path = write(tmp_path, nested_pairs_input(4))
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, ["--max-clauses", "1000", path])
+    assert code == 3
+    assert out == ""
+    counters = json.loads(err.split("clause limit exceeded ", 1)[1])
+    assert counters["clauses_created"] == counters["s2_size"] == 1001
+    assert counters["s3_size"] == 0
     assert time.monotonic() - started < 1.0
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -303,7 +304,7 @@ def test_shared_evar_residue_cubes_spent(assumed_cubes):
     problem = parse(shared_evar_text(6))
     tab = compute_tableaux_ui(flatten(problem))
     assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
-    assert len(assumed_cubes) == 693
+    assert len(assumed_cubes) == 601
 
 
 def test_shared_evar_residue_cubes_spent_at_bench_size(assumed_cubes):
@@ -312,7 +313,7 @@ def test_shared_evar_residue_cubes_spent_at_bench_size(assumed_cubes):
     problem = parse(shared_evar_text(7))
     tab = compute_tableaux_ui(flatten(problem))
     assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
-    assert len(assumed_cubes) == 2988
+    assert len(assumed_cubes) == 2587
 
 
 def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
@@ -327,7 +328,7 @@ def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
     problem = parse(shared_evar_text(6))
     tab = compute_tableaux_ui(flatten(problem))
     assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
-    assert len(assumed_cubes) == 693
+    assert len(assumed_cubes) == 601
 
 
 def test_nnf_hands_back_an_unchanged_formula():
@@ -337,7 +338,7 @@ def test_nnf_hands_back_an_unchanged_formula():
     assert nnf(tab.formula()) is tab.formula()
 
 
-def test_nnf_negates_a_conjunction_of_literals_into_one_clause(monkeypatch):
+def test_nnf_negates_a_conjunction_of_literals_into_one_clause():
     s = Sig()
     f = s.fn("f", 1)
     a, b, c = s.params("a", "b", "c")
@@ -354,10 +355,6 @@ def test_nnf_negates_a_conjunction_of_literals_into_one_clause(monkeypatch):
         assert nnf(And(parts), False) == want
     # Under a let, each literal is substituted first: y = b becomes f(a) = b.
     assert nnf(Let(((y, intern(f, (a,))),), And((Eq(const(y), b), q))), False) == mk_or([p.neg, q.neg])
-    # Distinct non-trivial literals come back as one clause of their
-    # complements without going through the general join.
-    monkeypatch.setattr(formulas, "_mk_nary", None)
-    assert nnf(And((p, q, r)), False) == Or((p.neg, q.neg, r.neg))
 
 
 def random_nnf(rng, atoms, depth):
@@ -520,3 +517,118 @@ def test_search_mixes_mask_and_list_clauses_seeded(assumed_cubes):
             assert cc_sat(cube)
         verdicts.append(ok)
     assert sum(verdicts) == 30
+
+
+def random_dnf(rng, consts, fns, ys):
+    """A disjunction of conjunctions like the tableaux's, mixed with every
+    shape a negated disjunct can take: one literal, a repeated literal,
+    a = b beside b = a, a literal beside its complement, a trivial literal,
+    a let, an implication, a nested disjunction, TRUE, FALSE and a repeated
+    disjunct. One time in ten it is a lone conjunction instead."""
+
+    def lit(trivial=False):
+        lhs = rng.choice(consts)
+        if rng.random() < 0.4:
+            f = rng.choice(fns)
+            lhs = intern(f, tuple(rng.choice(consts) for _ in range(f.arity)))
+        rhs = lhs if trivial else rng.choice([c for c in consts if c is not lhs])
+        return (Eq if rng.random() < 0.5 else Ne)(lhs, rhs)
+
+    def conjunction():
+        parts = list(dict.fromkeys(lit() for _ in range(rng.randint(2, 4))))
+        return And(tuple(parts)) if len(parts) > 1 else parts[0]
+
+    if rng.random() < 0.1:
+        return conjunction()
+    disjuncts = []
+    for _ in range(rng.randint(1, 7)):
+        roll = rng.random()
+        d = conjunction()
+        parts = d.parts if d.__class__ is And else (d,)
+        first = parts[0]
+        if roll < 0.15:
+            d = lit()
+        elif roll < 0.55:
+            pass
+        elif roll < 0.6:
+            d = And((*parts, rng.choice(parts)))
+        elif roll < 0.65:
+            d = And((*parts, type(first)(first.rhs, first.lhs)))
+        elif roll < 0.7:
+            d = And((*parts, first.neg))
+        elif roll < 0.75:
+            d = And((*parts, lit(trivial=True)))
+        elif roll < 0.8:
+            y = rng.choice(ys)
+            d = Let(((y, rng.choice(consts)),), And((Eq(const(y), first.lhs), *parts)))
+        elif roll < 0.85:
+            d = And((Implies(first, lit()), *parts[1:], lit()))
+        elif roll < 0.9:
+            d = Or((conjunction(), conjunction()))
+        elif roll < 0.93:
+            d = rng.choice((TRUE, FALSE))
+        elif disjuncts:
+            d = rng.choice(disjuncts)
+            if d.__class__ is And and rng.random() < 0.5:
+                d = And(d.parts)  # equal, not the same object
+        disjuncts.append(d)
+    return Or(tuple(disjuncts))
+
+
+def test_search_files_a_negated_dnf_as_nnf_does_seeded(assumed_cubes):
+    # euf_valid reads a DNF conclusion's conjunctions as clauses over their
+    # own parts. For each random query it must make the same closure calls,
+    # in the same order, and return the same cube as on the reference: the
+    # hypothesis and the conclusion's negation as `nnf` builds them. Parts of
+    # the hypothesis may equal parts of the conclusion's negation, so that
+    # joining the two drops the later copy.
+    rng = random.Random(20261020)
+    ys = [mk_symbol(f"y{i}", 0, "defined") for i in range(2)]
+    verdicts, spent, enumerated = [], 0, 0
+    for _ in range(400):
+        consts, fns, _ = random_flat_instance(rng, nconsts=rng.randint(3, 5), nfuns=1, nlits=0)
+        concl = random_dnf(rng, consts, fns, ys)
+        hyp_parts = [random_query(rng, consts, fns, ys, 2) for _ in range(rng.randint(0, 2))]
+        disjuncts = concl.parts if concl.__class__ is Or else (concl,)
+        for d in rng.sample(disjuncts, min(len(disjuncts), rng.randint(0, 2))):
+            hyp_parts.append(nnf(d, rng.random() < 0.3))
+        hyp = mk_and(hyp_parts)
+        start = len(assumed_cubes)
+        ok, cube = euf_valid(hyp, concl)
+        mid = len(assumed_cubes)
+        reference = _find_sat_cube(mk_and([nnf(hyp), nnf(concl, False)]), FALSE, Budget())
+        assert reference == cube
+        assert assumed_cubes[start:mid] == assumed_cubes[mid:]
+        verdicts.append(ok)
+        spent += mid - start
+        # The verdict against plain enumeration, where that stays small.
+        hyp_cubes, concl_cubes = dnf(nnf(hyp)), dnf(nnf(concl), positive=False)
+        if len(hyp_cubes) * len(concl_cubes) <= 1000:
+            assert ok == (not any(cc_sat(h + c) for h in hyp_cubes for c in concl_cubes))
+            enumerated += 1
+    assert 0 < sum(verdicts) < len(verdicts) and spent > 1000 and enumerated > 250
+
+
+def test_search_skips_a_disequality_the_closure_refutes(assumed_cubes):
+    # a = c and c = b put a and b in one class, so the branch clause's part
+    # a != b must fail: its complement is assumed without trying it.
+    s = Sig()
+    a, b, c, x, y, z = s.params("a", "b", "c", "x", "y", "z")
+    hyp = And((Eq(a, c), Eq(c, b), Or((Ne(a, b), Eq(x, y))), Or((Eq(x, y), Eq(x, z), Eq(y, z)))))
+    ok, cube = euf_valid(hyp, FALSE)
+    assert not ok and cube == [Eq(c, b), Eq(a, c), Eq(a, b), Eq(x, y)]
+    assert [len(c) for c in assumed_cubes] == [1, 2, 3, 4]
+
+
+def test_closure_rescan_compresses_paths():
+    # Each link of the chain is a union, and each union rescans all 29
+    # disequalities. Without path compression the walk from each of c0 to
+    # c27 to its root grows by one step per link.
+    s = Sig()
+    chain = s.params(*(f"c{i}" for i in range(4001)))
+    apart = s.params(*(f"d{i}" for i in range(28)))
+    diseqs = [Ne(chain[k], apart[k]) for k in range(28)] + [Ne(chain[0], chain[-1])]
+    links = [Eq(chain[i], chain[i + 1]) for i in range(4000)]
+    started = time.monotonic()
+    assert not cc_sat(diseqs + links)
+    assert time.monotonic() - started < 1.0

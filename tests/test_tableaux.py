@@ -283,3 +283,15 @@ def test_pair_scan_resumes_where_it_left_off(forward):
     # literal fewer, from the same indices.
     shorter = list(tableaux._pairs(5, forward))
     assert list(tableaux._pairs(5, forward, (1, 5))) == shorter[shorter.index((2, 3) if forward else (1, 4)):]
+
+
+def test_leaf_formula_joins_phi_as_is():
+    # Each leaf's phi holds every literal once, so its formula is phi's
+    # conjunction as it stands, under the definitions it reaches.
+    rng = random.Random(77)
+    for _ in range(40):
+        pre = flatten(random_problem(rng))
+        for strategy in ("default", "reversed"):
+            for d in compute_tableaux_ui(pre, strategy=strategy).disjuncts:
+                assert len(set(d.phi)) == len(d.phi)
+                assert d.formula == wrap_definitions(d.delta, mk_and(d.phi))
