@@ -1,45 +1,59 @@
 """Ground EUF decision procedures: congruence closure and validity checks.
 
 cc_sat decides conjunctions of ground (dis)equalities. euf_valid reduces
-validity to unsatisfiability and searches the lazy DNF of the query with
-closure-based pruning, so only cubes consistent so far are ever expanded.
-The search keeps one backtrackable closure (Nieuwenhuis & Oliveras, Inf. &
-Comp. 2007): one `assume` adds each undecided literal to the cube and to
-the closure, a merge or a recorded disequality, so the cube cap counts
-assumed literals, and the deadline is checked once before the search, then
-at each assume and at each let the search expands. Every change the
-closure makes goes on its trail, and a failed branch undoes the trail to
-the mark taken before it; only a union can break a recorded disequality,
-so an assume that makes none checks just its own, and the check after a
-union compresses every path it walks. The search reads its query through
-`formulas._nnf`, once, into negation normal form without lets. Its
-assignment is two masks over one bit per interned `atom`, the atoms
-assigned an Eq and those assigned a Ne, so deciding a = b also decides
-b = a, a != b and b != a (Nieuwenhuis, Oliveras & Tinelli, JACM 2006).
-Every disjunction is filed as its parts' bits and the masks of its Eq and
-of its Ne parts, so the search finds it satisfied, false, unit or open
-with a few int operations; an `And` part has a bit of its own, which no
-literal assigns, so it stays live until it is absorbed. A conclusion that
-is a disjunction of conjunctions, or one conjunction, is negated in one
-pass: each conjunction of distinct non-trivial literals is filed as a
-negated clause over its own parts, its masks swapped, and a part's
-complement is built only when the search assumes it; every other disjunct
-goes through `_nnf`, in order, so the clauses are those of `_nnf`'s
-negation. A Ne part whose sides the closure already holds in one class
-is never branched on: its complement is assumed at once, as after the
-failed branch. The closure never deletes a signature: a stale one holds a
-merged-away root, which no `find` returns until that merge is undone. A
-union puts the root with the shorter use list under the other, so an
-application only ever moves to a use list at least twice as long (Downey,
-Sethi & Tarjan, JACM 1980).
+validity to unsatisfiability: it looks for a cc-satisfiable cube of the
+hypothesis and the negated conclusion, and has two searches for it, both
+over one backtrackable closure (Nieuwenhuis & Oliveras, Inf. & Comp.
+2007). One `assume` adds each decided literal to the cube and to the
+closure, a merge or a recorded disequality, so the cube cap counts assumed
+literals; the deadline is checked once before the search, then at each
+assume and at each let the search reads. Both decide a literal by its
+`atom`, so deciding a = b also decides b = a, a != b and b != a
+(Nieuwenhuis, Oliveras & Tinelli, JACM 2006).
+
+The query's shape picks the search. A hypothesis that is a conjunction of
+literals and a conclusion that is an Or of such conjunctions, lets allowed
+in each, as in the residue check of a tableaux result, go to
+`_walk_disjuncts`: a case split over the disjuncts themselves, whose own
+literals are the decisions. One pass over the disjuncts gives each atom
+and class the int mask of the disjuncts that assigning it falsifies, and
+the walk keeps the disjuncts still alive as one mask. It walks the lowest
+alive disjunct to its first undecided literal and branches on it, then on
+its complement, which kills the disjunct; a disjunct whose every literal
+holds refutes the branch, and no disjunct alive leaves a witness. Every
+other query goes to `_find_sat_cube`, which reads it through
+`formulas._nnf`, once, into negation normal form without lets, and keeps
+its assignment as two masks over one bit per atom. Every disjunction is
+filed as its parts' bits and the masks of its Eq and of its Ne parts, so
+the search finds it satisfied, false, unit or open with a few int
+operations; an `And` part has a bit of its own, which no literal assigns,
+so it stays live until it is absorbed. A conclusion that is a disjunction
+of conjunctions, or one conjunction, is negated in one pass: each
+conjunction of distinct non-trivial literals is filed as a negated clause
+over its own parts, its masks swapped, and a part's complement is built
+only when the search assumes it; every other disjunct goes through
+`_nnf`, in order, so the clauses are those of `_nnf`'s negation. Neither
+search branches on a literal whose sides the closure already holds in one
+class: the walk records the equality without an assume, and the clause
+search assumes the complement of such a Ne part at once, as after the
+failed branch.
+
+Every change the closure makes goes on its trail, and a failed branch
+undoes the trail to the mark taken before it; only a union can break a
+recorded disequality, so an assume that makes none checks just its own,
+and the check after a union compresses every path it walks. The closure
+never deletes a signature: a stale one holds a merged-away root, which no
+`find` returns until that merge is undone. A union puts the root with the
+shorter use list under the other, so an application only ever moves to a
+use list at least twice as long (Downey, Sethi & Tarjan, JACM 1980).
 """
 from __future__ import annotations
 
 from collections import deque
 
 from .errors import Budget
-from .formulas import And, FFalse, FTrue, Or, _nnf, expand_lets, nnf
-from .terms import Eq, Ne, Term
+from .formulas import FALSE, And, FFalse, FTrue, Let, Or, _nnf, expand_lets, let_env, nnf
+from .terms import Eq, Ne, Term, term_substitute
 
 # bench/tracing.py wraps these two names in this module; the search reads
 # its query through `_nnf` and calls neither.
@@ -436,14 +450,181 @@ def _find_sat_cube(hyp, concl, budget: Budget):
     return search(ors) if parts is not None and absorb(parts, ors) else None
 
 
+def _conjunction(f, check):
+    """The non-trivial literals of f, in order and with its lets substituted,
+    when f is a conjunction of literals under lets; FALSE when f is false
+    on its face (a part is FALSE or a != a); None for any other shape."""
+    env = memo = None
+    while f.__class__ is Let:
+        check()
+        env, memo, f = let_env(env or {}, f.bindings), {}, f.body
+    out = []
+    for p in f.parts if f.__class__ is And else (f,):
+        kind = p.__class__
+        if kind is Eq or kind is Ne:
+            if env:
+                lhs, rhs = term_substitute(p.lhs, env, memo), term_substitute(p.rhs, env, memo)
+                if lhs is not p.lhs or rhs is not p.rhs:
+                    p = kind(lhs, rhs)
+            if p.lhs is not p.rhs:
+                out.append(p)
+            elif kind is Ne:
+                return FALSE
+        elif kind is FFalse:
+            return FALSE
+        elif kind is not FTrue:
+            return None
+    return out
+
+
+_NOT_WALKED = object()
+_ROW_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _walk_disjuncts(hyp, concl, budget: Budget):
+    """A cc-satisfiable cube of hyp that falsifies every disjunct of concl,
+    or None; _NOT_WALKED unless hyp and every disjunct are conjunctions of
+    literals under lets.
+
+    Case split over the disjuncts themselves: the lowest disjunct still
+    alive is walked to its first undecided literal, which is decided true,
+    then, once that branch fails, false, killing the disjunct. A literal
+    whose sides the closure holds in one class is decided by that, without
+    an assume. A walked disjunct whose every literal holds refutes the
+    branch; no disjunct alive leaves the closure's literals as the cube.
+    The branches taken are kept on a stack of frames, not in recursion.
+    """
+    stats = {"cubes_spent": 0}
+
+    def check():
+        budget.check_time(stats)
+
+    hyp_lits = _conjunction(hyp, check)
+    if hyp_lits is None:
+        return _NOT_WALKED
+    if hyp_lits is FALSE:
+        return None
+    # One pass over the parts: each literal's row holds one byte per
+    # disjunct, 1 where the disjunct holds the literal.
+    n = len(concl.parts)
+    rows, cubes, dropped = {}, [], 0
+    for i, d in enumerate(concl.parts):
+        lits = d.parts if d.__class__ is And else (d,)
+        while True:
+            for p in lits:
+                if p.__class__ is not Eq and p.__class__ is not Ne:
+                    break
+                row = rows.get(p)
+                if row is None:
+                    row = rows[p] = bytearray(n)
+                row[i] = 1
+            else:
+                break
+            # Lets, TRUE or FALSE: read again with the lets substituted.
+            lits = _conjunction(d, check)
+            if lits is None:
+                return _NOT_WALKED
+            if lits is FALSE:
+                dropped |= 1 << i
+                lits = ()
+        cubes.append(lits)
+
+    value = {}  # atom -> the class of the literal the search holds on it
+    # kills[atom << 1 | (cls is Ne)]: the disjuncts that assigning cls to
+    # atom falsifies, those holding a literal of the other class on it.
+    # Keyed by atom, so b != a kills a disjunct holding a = b. a = a always
+    # holds, and a disjunct holding a != a never does.
+    kills, held = {}, 0
+    for p, row in rows.items():
+        mask = int(row.translate(_ROW_BITS)[::-1], 2)
+        if p.lhs is not p.rhs:
+            key = p.atom << 1 | (p.__class__ is Eq)
+            kills[key] = kills.get(key, 0) | mask
+            held |= mask
+        elif p.__class__ is Ne:
+            dropped |= mask
+        else:
+            value[p.atom] = Eq
+    if ~(held | dropped) & ((1 << n) - 1):
+        return None  # a disjunct with no literal other than a = a holds
+    alive = held & ~dropped
+
+    closure = CongruenceState()
+    parent, find = closure.parent, closure.find
+    assigned = []  # the atoms in value, in the order they were assigned
+
+    def decide(lit) -> bool:
+        budget.count(stats, "cubes_spent")
+        budget.check_time(stats)
+        value[lit.atom] = lit.__class__
+        assigned.append(lit.atom)
+        return closure.assume(lit)
+
+    for lit in hyp_lits:
+        cls = value.get(lit.atom)
+        if cls is None:
+            if not decide(lit):
+                return None
+            alive &= ~kills.get(lit.atom << 1 | (lit.__class__ is Ne), 0)
+        elif cls is not lit.__class__:
+            return None
+
+    # One frame per branch taken on a literal and not yet failed: the
+    # closure and assignment marks before it, the literal, alive and the
+    # walked disjunct as they stood then. Its complement kills the disjunct.
+    frames = []
+    i = j = 0
+    while True:
+        while alive:
+            if not alive >> i & 1:
+                i, j = (alive & -alive).bit_length() - 1, 0
+            # Every literal of an alive disjunct whose atom is assigned holds.
+            lits = cubes[i]
+            end = len(lits)
+            while j < end and lits[j].atom in value:
+                j += 1
+            if j == end:
+                break
+            lit = lits[j]
+            atom, lhs, rhs = lit.atom, lit.lhs.id, lit.rhs.id
+            if lhs in parent and rhs in parent and find(lhs) == find(rhs):
+                value[atom] = Eq
+                assigned.append(atom)
+                alive &= ~kills.get(atom << 1, 0)
+                continue
+            frames.append((len(closure.trail), len(assigned), lit, alive, i))
+            if not decide(lit):
+                break
+            alive &= ~kills.get(atom << 1 | (lit.__class__ is Ne), 0)
+        else:
+            return list(closure.lits)
+        while True:
+            if not frames:
+                return None
+            mark, amark, lit, alive, i = frames.pop()
+            closure.undo(mark)
+            for atom in assigned[amark:]:
+                del value[atom]
+            del assigned[amark:]
+            lit = lit.neg
+            if decide(lit):
+                alive &= ~kills.get(lit.atom << 1 | (lit.__class__ is Ne), 0)
+                break
+
+
 def euf_valid(hyp, concl, budget: Budget = Budget()):
     """(True, None) when hyp entails concl in EUF, else (False, witness cube).
 
     Both formulas are quantifier-free; any variables are read as fresh
     constants. Raises ResourceLimitError when the cube cap or deadline passes.
+    A hypothesis that is a conjunction of literals and a conclusion that is
+    an Or of such conjunctions, lets allowed in each, is decided by
+    `_walk_disjuncts`; every other query by `_find_sat_cube`.
     """
     budget.check_time({"cubes_spent": 0})
-    cube = _find_sat_cube(hyp, concl, budget)
+    cube = _walk_disjuncts(hyp, concl, budget) if concl.__class__ is Or else _NOT_WALKED
+    if cube is _NOT_WALKED:
+        cube = _find_sat_cube(hyp, concl, budget)
     return cube is None, cube
 
 

@@ -298,22 +298,35 @@ def test_search_finds_a_clause_of_trivial_disequalities_false(assumed_cubes):
 
 
 def test_shared_evar_residue_cubes_spent(assumed_cubes):
-    # The CLI's residue check of the tableaux result: 203 clauses, one per
-    # negated disjunct, where the pins above come from queries of at most 8
-    # literals.
+    # The CLI's residue check of the tableaux result: the input cube
+    # against the 203 disjuncts of the DNF, walked as they stand, where the
+    # pins above come from queries of at most 8 literals.
     problem = parse(shared_evar_text(6))
     tab = compute_tableaux_ui(flatten(problem))
     assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
-    assert len(assumed_cubes) == 601
+    assert len(assumed_cubes) == 410
 
 
-def test_shared_evar_residue_cubes_spent_at_bench_size(assumed_cubes):
-    # The bench's shared-evar size: 877 clauses of literals over distinct
-    # atoms, so each is decided by its live bits alone.
+def test_shared_evar_residue_cubes_spent_at_bench_size(monkeypatch, assumed_cubes):
+    # The bench's shared-evar size: 877 disjuncts, so 876 splits. The walk
+    # assumes each side of each split once, after the 7 input literals, and
+    # the clause search never runs.
+    def refuse(*_):
+        raise AssertionError("the clause search ran")
+
+    monkeypatch.setattr(euf, "_find_sat_cube", refuse)
     problem = parse(shared_evar_text(7))
     tab = compute_tableaux_ui(flatten(problem))
     assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
-    assert len(assumed_cubes) == 2587
+    assert len(assumed_cubes) == 2 * 876 + 7 == 1759
+
+
+def test_shared_evar_residue_past_bench_size(assumed_cubes):
+    # k = 8: 4140 disjuncts, valid under the default caps.
+    problem = parse(shared_evar_text(8))
+    tab = compute_tableaux_ui(flatten(problem))
+    assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
+    assert len(assumed_cubes) == 2 * 4139 + 8 == 8286
 
 
 def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
@@ -328,7 +341,7 @@ def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
     problem = parse(shared_evar_text(6))
     tab = compute_tableaux_ui(flatten(problem))
     assert euf_valid(mk_and(problem.body), tab.formula()) == (True, None)
-    assert len(assumed_cubes) == 601
+    assert len(assumed_cubes) == 410
 
 
 def test_nnf_hands_back_an_unchanged_formula():
@@ -393,7 +406,7 @@ def test_euf_valid_matches_dnf_enumeration_seeded(assumed_cubes):
         hyp, concl = random_nnf(rng, atoms, 3), random_nnf(rng, atoms, 3)
         queries.append((hyp, concl, *euf_valid(hyp, concl)))
     # Counted before the checks below, whose cc_sat calls assume too.
-    assert len(assumed_cubes) == 558
+    assert len(assumed_cubes) == 554
     verdicts = []
     for hyp, concl, ok, cube in queries:
         cubes = [h + c for h in dnf(hyp) for c in dnf(concl, positive=False)]
@@ -446,11 +459,12 @@ def random_query(rng, consts, fns, ys, depth, bound=()):
 
 
 def test_search_reads_lets_and_negations_in_place_seeded(assumed_cubes):
-    # The search reads a query as euf_valid receives it. For each random
-    # query it must make the same closure calls, in the same order, and
-    # return the same cube as on the reference: the query's let-free
+    # The clause search reads a query as euf_valid receives it. For each
+    # random query it must make the same closure calls, in the same order,
+    # and return the same cube as on the reference: the query's let-free
     # negation normal form, built by expand_lets and nnf. The verdicts must
-    # match the plain DNF enumeration.
+    # match the plain DNF enumeration, and euf_valid's. The search is called
+    # directly: euf_valid walks the queries of a cube and an Or of cubes.
     rng = random.Random(20261019)
     ys = [mk_symbol(f"y{i}", 0, "defined") for i in range(3)]
     verdicts, spent = [], 0
@@ -464,7 +478,7 @@ def test_search_reads_lets_and_negations_in_place_seeded(assumed_cubes):
         cases = [
             (lambda: _find_sat_cube(hyp, FALSE, Budget()),
              lambda: _find_sat_cube(nnf(expand_lets(hyp)), FALSE, Budget())),
-            (lambda: euf_valid(hyp, concl)[1],
+            (lambda: _find_sat_cube(hyp, concl, Budget()),
              lambda: _find_sat_cube(mk_and([nnf(expand_lets(hyp)), nnf(expand_lets(concl), False)]), FALSE, Budget())),
         ]
         for read_in_place, read_copy in cases:
@@ -479,6 +493,7 @@ def test_search_reads_lets_and_negations_in_place_seeded(assumed_cubes):
         concl_cubes = dnf(nnf(expand_lets(concl)), positive=False)
         assert verdicts[-2] == (not any(cc_sat(h) for h in hyp_cubes))
         assert verdicts[-1] == (not any(cc_sat(h + c) for h in hyp_cubes for c in concl_cubes))
+        assert euf_valid(hyp, concl)[0] == verdicts[-1]
     assert (sum(verdicts), spent) == (163, 762)
 
 
@@ -519,6 +534,16 @@ def test_search_mixes_mask_and_list_clauses_seeded(assumed_cubes):
     assert sum(verdicts) == 30
 
 
+def random_literal(rng, consts, fns, trivial=False):
+    """An Eq or Ne over a constant or an application; a = a or a != a when trivial."""
+    lhs = rng.choice(consts)
+    if rng.random() < 0.4:
+        f = rng.choice(fns)
+        lhs = intern(f, tuple(rng.choice(consts) for _ in range(f.arity)))
+    rhs = lhs if trivial else rng.choice([c for c in consts if c is not lhs])
+    return (Eq if rng.random() < 0.5 else Ne)(lhs, rhs)
+
+
 def random_dnf(rng, consts, fns, ys):
     """A disjunction of conjunctions like the tableaux's, mixed with every
     shape a negated disjunct can take: one literal, a repeated literal,
@@ -527,12 +552,7 @@ def random_dnf(rng, consts, fns, ys):
     disjunct. One time in ten it is a lone conjunction instead."""
 
     def lit(trivial=False):
-        lhs = rng.choice(consts)
-        if rng.random() < 0.4:
-            f = rng.choice(fns)
-            lhs = intern(f, tuple(rng.choice(consts) for _ in range(f.arity)))
-        rhs = lhs if trivial else rng.choice([c for c in consts if c is not lhs])
-        return (Eq if rng.random() < 0.5 else Ne)(lhs, rhs)
+        return random_literal(rng, consts, fns, trivial)
 
     def conjunction():
         parts = list(dict.fromkeys(lit() for _ in range(rng.randint(2, 4))))
@@ -576,12 +596,14 @@ def random_dnf(rng, consts, fns, ys):
 
 
 def test_search_files_a_negated_dnf_as_nnf_does_seeded(assumed_cubes):
-    # euf_valid reads a DNF conclusion's conjunctions as clauses over their
-    # own parts. For each random query it must make the same closure calls,
-    # in the same order, and return the same cube as on the reference: the
-    # hypothesis and the conclusion's negation as `nnf` builds them. Parts of
-    # the hypothesis may equal parts of the conclusion's negation, so that
-    # joining the two drops the later copy.
+    # The clause search reads a DNF conclusion's conjunctions as clauses
+    # over their own parts. For each random query it must make the same
+    # closure calls, in the same order, and return the same cube as on the
+    # reference: the hypothesis and the conclusion's negation as `nnf`
+    # builds them. Parts of the hypothesis may equal parts of the
+    # conclusion's negation, so that joining the two drops the later copy.
+    # The search is called directly, since euf_valid walks the queries whose
+    # hypothesis is a cube; its verdict must match.
     rng = random.Random(20261020)
     ys = [mk_symbol(f"y{i}", 0, "defined") for i in range(2)]
     verdicts, spent, enumerated = [], 0, 0
@@ -594,11 +616,13 @@ def test_search_files_a_negated_dnf_as_nnf_does_seeded(assumed_cubes):
             hyp_parts.append(nnf(d, rng.random() < 0.3))
         hyp = mk_and(hyp_parts)
         start = len(assumed_cubes)
-        ok, cube = euf_valid(hyp, concl)
+        cube = _find_sat_cube(hyp, concl, Budget())
         mid = len(assumed_cubes)
         reference = _find_sat_cube(mk_and([nnf(hyp), nnf(concl, False)]), FALSE, Budget())
         assert reference == cube
         assert assumed_cubes[start:mid] == assumed_cubes[mid:]
+        ok = cube is None
+        assert euf_valid(hyp, concl)[0] == ok
         verdicts.append(ok)
         spent += mid - start
         # The verdict against plain enumeration, where that stays small.
@@ -607,6 +631,111 @@ def test_search_files_a_negated_dnf_as_nnf_does_seeded(assumed_cubes):
             assert ok == (not any(cc_sat(h + c) for h in hyp_cubes for c in concl_cubes))
             enumerated += 1
     assert 0 < sum(verdicts) < len(verdicts) and spent > 1000 and enumerated > 250
+
+
+def random_cube_query(rng, consts, fns, ys):
+    """A cube and an Or of cubes, the shape euf_valid walks. A cube may hold
+    a = b beside b = a, a literal beside its complement, a = a or a != a, and
+    may sit under a let; a disjunct may also be TRUE, FALSE or a repeat. The
+    hypothesis may hold a disjunct's literals, so that the query is valid."""
+
+    def cube(n):
+        parts = [random_literal(rng, consts, fns) for _ in range(n)]
+        roll = rng.random()
+        if parts and roll < 0.15:
+            parts.append(type(parts[0])(parts[0].rhs, parts[0].lhs))
+        elif parts and roll < 0.25:
+            parts.append(parts[0].neg)
+        elif roll < 0.35:
+            parts.insert(rng.randint(0, len(parts)), random_literal(rng, consts, fns, trivial=True))
+        if parts and rng.random() < 0.15:
+            y = rng.choice(ys)
+            first = parts[0]
+            parts[0] = type(first)(const(y), first.rhs)
+            return Let(((y, first.lhs),), And(tuple(parts)))
+        return And(tuple(parts)) if len(parts) != 1 else parts[0]
+
+    disjuncts = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.05:
+            d = rng.choice((TRUE, FALSE))
+        elif roll < 0.12 and disjuncts:
+            d = rng.choice(disjuncts)
+        else:
+            d = cube(rng.randint(1, 3))
+        disjuncts.append(d)
+    hyp = cube(rng.randint(0, 3))
+    if rng.random() < 0.3:
+        hyp = mk_and([expand_lets(hyp), expand_lets(rng.choice(disjuncts))])
+    return hyp, Or(tuple(disjuncts))
+
+
+def test_walk_matches_enumeration_seeded(monkeypatch, assumed_cubes):
+    # Every query is a cube and an Or of cubes, so the walk decides it. The
+    # verdict must match the plain DNF enumeration. A witness must be
+    # cc-satisfiable, entail each hypothesis literal and contradict every
+    # disjunct.
+    def refuse(*_):
+        raise AssertionError("the clause search ran")
+
+    monkeypatch.setattr(euf, "_find_sat_cube", refuse)
+    rng = random.Random(20261021)
+    ys = [mk_symbol(f"y{i}", 0, "defined") for i in range(2)]
+    queries = []
+    for _ in range(400):
+        consts, fns, _ = random_flat_instance(rng, nconsts=rng.randint(3, 5), nfuns=1, nlits=0)
+        hyp, concl = random_cube_query(rng, consts, fns, ys)
+        queries.append((hyp, concl, *euf_valid(hyp, concl)))
+    # Counted before the checks below, whose cc_sat calls assume too.
+    spent = len(assumed_cubes)
+    verdicts = []
+    for hyp, concl, ok, cube in queries:
+        hyp_cubes, concl_cubes = dnf(nnf(hyp)), dnf(nnf(concl), positive=False)
+        assert ok == (not any(cc_sat(h + c) for h in hyp_cubes for c in concl_cubes))
+        if not ok:
+            (hyp_lits,) = hyp_cubes
+            assert cc_sat(cube)
+            assert not any(cc_sat(cube + [h.neg]) for h in hyp_lits)
+            assert not any(cc_sat(cube + d) for p in concl.parts for d in dnf(nnf(p)))
+        verdicts.append(ok)
+    assert (sum(verdicts), spent) == (197, 2060)
+
+
+def test_walk_checks_the_caps_at_each_assume_and_let(counting_clock):
+    # Reads: one before the walk, one at the let, one per assume. a = c
+    # and then a = d are held by the closure, so they cost no assume.
+    s = Sig()
+    a, b, c, d = s.params("a", "b", "c", "d")
+    y = mk_symbol("y", 0, "defined")
+    hyp = And((Eq(a, b), Eq(b, c)))
+    concl = Or((Let(((y, a),), And((Eq(const(y), c), Ne(b, d)))), Eq(a, d)))
+    assert euf_valid(hyp, concl, Budget(deadline=6.0)) == (True, None)
+    assert counting_clock.reads == 6
+    counting_clock.reads = 0
+    with pytest.raises(ResourceLimitError, match="timeout exceeded") as exc:
+        euf_valid(hyp, concl, Budget(deadline=5.0))
+    assert counting_clock.reads == 6 and exc.value.stats == {"cubes_spent": 4}
+    with pytest.raises(ResourceLimitError, match="cube budget exceeded") as exc:
+        euf_valid(hyp, concl, Budget(max_cubes=3))
+    assert exc.value.stats == {"cubes_spent": 4}
+
+
+def test_walk_takes_long_disjuncts_without_recursion(assumed_cubes):
+    # The chain c0 = c1 = ... = c1500 in the hypothesis holds every literal
+    # c0 = c_i of the first disjunct in one class, so the walk decides all
+    # 1499 without an assume. Walked from TRUE, the chain is 1500 undecided
+    # literals: each is a decision, and the witness negates the last one.
+    s = Sig()
+    c = s.params(*(f"c{i}" for i in range(1501)))
+    x, y = s.params("x", "y")
+    chain = And(tuple(Eq(c[i], c[i + 1]) for i in range(1500)))
+    held = And(tuple(Eq(c[0], c[i]) for i in range(2, 1501)))
+    assert euf_valid(chain, Or((held, Eq(x, y)))) == (True, None)
+    assert len(assumed_cubes) == 1500
+    ok, cube = euf_valid(TRUE, Or((chain, Eq(x, y))))
+    assert not ok and cube == [*chain.parts[:-1], Ne(c[1499], c[1500]), Ne(x, y)]
+    assert len(assumed_cubes) == 1500 + 1503
 
 
 def test_search_skips_a_disequality_the_closure_refutes(assumed_cubes):
