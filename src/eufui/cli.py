@@ -73,12 +73,9 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _collect_stats(args, tab, cond) -> dict:
-    stats = {k: 0 for k in STATS_KEYS if k != "ui_unravelled_size"}
-    for result in (tab, cond):
-        if result is not None:
-            stats.update((k, v) for k, v in result.stats.items() if k in stats)
-    result = cond if cond is not None else tab
+def _collect_stats(args, engine_stats: dict, result) -> dict:
+    """The printed counters: engine_stats, merged over both engines, and result's sizes."""
+    stats = {k: engine_stats.get(k, 0) for k in STATS_KEYS if k != "ui_unravelled_size"}
     stats["ui_compressed_size"] = fsize(result.formula())
     if args.unravel:
         stats["ui_unravelled_size"] = fsize(result.formula(unravel=True))
@@ -155,7 +152,7 @@ def main(argv=None) -> int:
         print(verified_line)
 
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    _emit_stats(args, _collect_stats(args, tab, cond), elapsed_ms)
+    _emit_stats(args, _collect_stats(args, stats, cond if cond is not None else tab), elapsed_ms)
     return 0
 
 

@@ -22,21 +22,16 @@ alive disjunct to its first undecided literal and branches on it, then on
 its complement, which kills the disjunct; a disjunct whose every literal
 holds refutes the branch, and no disjunct alive leaves a witness. Every
 other query goes to `_find_sat_cube`, which reads it through
-`formulas._nnf`, once, into negation normal form without lets, and keeps
-its assignment as two masks over one bit per atom. Every disjunction is
-filed as its parts' bits and the masks of its Eq and of its Ne parts, so
-the search finds it satisfied, false, unit or open with a few int
-operations; an `And` part has a bit of its own, which no literal assigns,
-so it stays live until it is absorbed. A conclusion that is a disjunction
-of conjunctions, or one conjunction, is negated in one pass: each
-conjunction of distinct non-trivial literals is filed as a negated clause
-over its own parts, its masks swapped, and a part's complement is built
-only when the search assumes it; every other disjunct goes through
-`_nnf`, in order, so the clauses are those of `_nnf`'s negation. Neither
-search branches on a literal whose sides the closure already holds in one
-class: the walk records the equality without an assume, and the clause
-search assumes the complement of such a Ne part at once, as after the
-failed branch.
+`formulas._nnf`, once, the conclusion's negation included, into negation
+normal form without lets, and keeps its assignment as two masks over one
+bit per atom. Every disjunction is filed as its parts' bits and the masks
+of its Eq and of its Ne parts, so the search finds it satisfied, false,
+unit or open with a few int operations; an `And` part has a bit of its
+own, which no literal assigns, so it stays live until it is absorbed.
+Neither search branches on a literal whose sides the closure already
+holds in one class: the walk records the equality without an assume, and
+the clause search assumes the complement of such a Ne part at once, as
+after the failed branch.
 
 Every change the closure makes goes on its trail, and a failed branch
 undoes the trail to the mark taken before it; only a union can break a
@@ -52,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import Budget
-from .formulas import FALSE, And, FFalse, FTrue, Let, Or, _nnf, expand_lets, let_env, nnf
+from .formulas import FALSE, And, FFalse, FTrue, Let, Or, _nnf, expand_lets, let_env, mk_and, nnf
 from .terms import Eq, Ne, Term, term_substitute
 
 # bench/tracing.py wraps these two names in this module; the search reads
@@ -251,10 +246,8 @@ def _find_sat_cube(hyp, concl, budget: Budget):
 
     Both may hold lets and connectives in either polarity; `formulas._nnf`
     reads them once, when the search starts, checking the deadline at each
-    let, into And and Or nodes over literals. A conjunction of distinct
-    non-trivial literals that is concl, or one of its disjuncts, is filed
-    as the clause of its parts' complements without building them.
-    Literal-branching search: atoms are absorbed into the cube with a
+    let, into And and Or nodes over literals, the negation of concl among
+    them. Literal-branching search: atoms are absorbed into the cube with a
     closure check each time, pending disjunctions, each one clause of part
     bits and masks, are decided against the assignment's masks, lone
     survivors propagate in unit rounds, and branching takes one part of the
@@ -286,15 +279,13 @@ def _find_sat_cube(hyp, concl, budget: Budget):
         budget.check_time(stats)
         return closure.assume(lit)
 
-    def clause(parts, negated):
+    def clause(parts):
         """parts filed as (parts, their bits, Eq mask, Ne mask, the bits met
-        twice, negated), or None: a clause with a = a always holds.
+        twice), or None: a clause with a = a always holds.
 
         An And part's bit is keyed by -id(part), which no atom (a pair key,
         at least 0) is, and sits in the Eq mask, where no literal assigns
-        it; a != a gets bit 0, so it is never live. Negated, the parts stand
-        for their complements, so the masks swap, and they must be distinct
-        non-trivial literals.
+        it; a != a gets bit 0, so it is never live.
         """
         pbits, em, nm, rep = [], 0, 0, 0
         for p in parts:
@@ -302,12 +293,10 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             if kind is Eq or kind is Ne:
                 if p.lhs is not p.rhs:
                     bit = bits[p.atom]
-                elif negated or kind is Eq:
+                elif kind is Eq:
                     return None
                 else:
                     bit = 0
-            elif negated:
-                return None
             else:
                 bit = bits[-id(p)]
             rep |= bit & (em | nm)
@@ -316,11 +305,7 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             else:
                 em |= bit
             pbits.append(bit)
-        if not negated:
-            return parts, pbits, em, nm, rep, False
-        if rep and len(set(parts)) < len(parts):
-            return None
-        return parts, pbits, nm, em, rep, True
+        return parts, pbits, em, nm, rep
 
     def absorb(obligations, ors) -> bool:
         """Assume the literals under obligations, last first, and file their
@@ -330,10 +315,8 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             kind = g.__class__
             if kind is And:
                 obligations.extend(g.parts)
-            elif kind is tuple:
-                ors.append(g)
             elif kind is Or:
-                g = clause(g.parts, False)
+                g = clause(g.parts)
                 if g is not None:
                     ors.append(g)
             elif kind is Eq or kind is Ne:
@@ -351,7 +334,7 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             units, pending = [], []
             free = ~(eqs | nes)
             for g in ors:
-                parts, pbits, em, nm, rep, negated = g
+                parts, pbits, em, nm, rep = g
                 if em & eqs or nm & nes:
                     continue
                 live = (em | nm) & free
@@ -360,8 +343,7 @@ def _find_sat_cube(hyp, concl, budget: Budget):
                 if live & (live - 1) or live & rep:
                     pending.append(g)
                 else:
-                    p = parts[pbits.index(live)]
-                    units.append(p.neg if negated else p)
+                    units.append(parts[pbits.index(live)])
             if not units:
                 break
             # The scan order is part of the pinned search order: clauses
@@ -380,11 +362,9 @@ def _find_sat_cube(hyp, concl, budget: Budget):
             return sum(1 for bit in g[1] if bit & live) if live & g[4] else live.bit_count()
 
         pending.sort(key=width)
-        (parts, pbits, *_, negated), rest = pending[0], pending[:0:-1]
+        (parts, pbits, *_), rest = pending[0], pending[:0:-1]
         parent, find = closure.parent, closure.find
         for p in [p for p, bit in zip(parts, pbits) if bit & free]:
-            if negated:
-                p = p.neg
             kind = p.__class__
             if (
                 kind is Ne and p.lhs.id in parent and p.rhs.id in parent
@@ -409,45 +389,9 @@ def _find_sat_cube(hyp, concl, budget: Budget):
     def check():
         budget.check_time(stats)
 
-    def key(g):
-        """Equal for two parts `mk_and` would keep once; a negated clause
-        stands for the Or of its parts' complements."""
-        if g.__class__ is tuple:
-            return g[0]
-        if g.__class__ is Or and all(p.__class__ is Eq or p.__class__ is Ne for p in g.parts):
-            return tuple([p.neg for p in g.parts])
-        return g
-
-    def join(items):
-        """The parts `mk_and(items)` keeps, filed clauses among them, or None for FALSE."""
-        out, seen = [], set()
-        for g in items:
-            kind = g.__class__
-            if kind is FTrue:
-                continue
-            if kind is FFalse:
-                return None
-            for p in g.parts if kind is And else (g,):
-                k = key(p)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(p)
-        return out
-
-    def negation(f):
-        if f.__class__ is And and len(f.parts) > 1:
-            g = clause(f.parts, True)
-            if g is not None:
-                return g
-        return _nnf(f, False, {}, {}, check)
-
-    # `_nnf(concl, False)` of an Or joins one negation per disjunct, and no
-    # `_nnf` result holds an And directly under an And, so one join of hyp
-    # and the negations keeps what `mk_and` of hyp and that join would.
-    disjuncts = concl.parts if concl.__class__ is Or else (concl,)
-    parts = join([_nnf(hyp, True, {}, {}, check), *map(negation, disjuncts)])
     ors = []
-    return search(ors) if parts is not None and absorb(parts, ors) else None
+    query = mk_and([_nnf(hyp, True, {}, {}, check), _nnf(concl, False, {}, {}, check)])
+    return search(ors) if absorb([query], ors) else None
 
 
 def _conjunction(f, check):

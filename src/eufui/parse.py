@@ -305,10 +305,19 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
             # bindings are evaluated in the outer environment, SMT-LIB style
             new_env[name] = _parse_term(binding.value[1], symbols, env)
         node, env = rest[1], new_env
-    if head == "and":
-        return mk_and([_parse_formula(sub, symbols, env) for sub in rest])
-    if head == "or":
-        return mk_or([_parse_formula(sub, symbols, env) for sub in rest])
+    if head == "and" or head == "or":
+        # A part under the same connective is read on this stack, not by
+        # recursion: mk_and and mk_or would flatten it into this one anyway.
+        parts, stack = [], [iter(rest)]
+        while stack:
+            sub = next(stack[-1], None)
+            if sub is None:
+                stack.pop()
+            elif isinstance(sub.value, list) and sub.value and sub.value[0].value == head:
+                stack.append(iter(sub.value[1:]))
+            else:
+                parts.append(_parse_formula(sub, symbols, env))
+        return (mk_and if head == "and" else mk_or)(parts)
     if head == "not":
         if len(rest) != 1:
             raise InputError("not takes one formula", node.line, node.col)

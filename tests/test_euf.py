@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import Sig, brute_force_sat, random_flat_instance, shared_evar_text
 from eufui import euf, formulas
+from eufui.conditional import compute_conditional_ui
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import CongruenceState, _find_sat_cube, cc_sat, euf_equiv, euf_valid
 from eufui.formulas import FALSE, TRUE, And, Implies, Let, Or, expand_lets, mk_and, mk_or, nnf
@@ -329,6 +330,22 @@ def test_shared_evar_residue_past_bench_size(assumed_cubes):
     assert len(assumed_cubes) == 2 * 4139 + 8 == 8286
 
 
+@pytest.mark.parametrize("k, spent", [(5, (2395, 353)), (6, (19299, 1602))])
+def test_shared_evar_equivalence_cubes_spent(k, spent, assumed_cubes):
+    # The CLI's equivalence check, per direction: tab => cond, then
+    # cond => tab, whose conclusion is the 52- or 203-disjunct DNF under a
+    # hypothesis that is not a cube, so the clause search reads the DNF's
+    # negation.
+    pre = flatten(parse(shared_evar_text(k)))
+    tab, cond = compute_tableaux_ui(pre).formula(), compute_conditional_ui(pre).formula()
+    counts = []
+    for hyp, concl in ((tab, cond), (cond, tab)):
+        start = len(assumed_cubes)
+        assert euf_valid(hyp, concl) == (True, None)
+        counts.append(len(assumed_cubes) - start)
+    assert tuple(counts) == spent
+
+
 def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
     # The search reads lets and negations in place: no let-free or NNF copy
     # of the tableaux DNF is built, and the decision order is unchanged.
@@ -596,14 +613,14 @@ def random_dnf(rng, consts, fns, ys):
 
 
 def test_search_files_a_negated_dnf_as_nnf_does_seeded(assumed_cubes):
-    # The clause search reads a DNF conclusion's conjunctions as clauses
-    # over their own parts. For each random query it must make the same
-    # closure calls, in the same order, and return the same cube as on the
-    # reference: the hypothesis and the conclusion's negation as `nnf`
-    # builds them. Parts of the hypothesis may equal parts of the
-    # conclusion's negation, so that joining the two drops the later copy.
-    # The search is called directly, since euf_valid walks the queries whose
-    # hypothesis is a cube; its verdict must match.
+    # The clause search reads hyp and the negation of a DNF conclusion in
+    # place. For each random query it must make the same closure calls, in
+    # the same order, and return the same cube as on a copy of the query
+    # built by `nnf`: the hypothesis and the conclusion's negation. Parts
+    # of the hypothesis may equal parts of the conclusion's negation, which
+    # the conjunction of the two keeps once. The search is called directly,
+    # since euf_valid walks the queries whose hypothesis is a cube; its
+    # verdict must match.
     rng = random.Random(20261020)
     ys = [mk_symbol(f"y{i}", 0, "defined") for i in range(2)]
     verdicts, spent, enumerated = [], 0, 0

@@ -245,6 +245,22 @@ def test_parse_formula_reads_deep_terms():
     assert depth == 5000 and t is f.rhs
 
 
+@pytest.mark.parametrize("head, other, unit", [("and", "or", "true"), ("or", "and", "false")])
+def test_parse_formula_reads_deep_same_connective_nests(head, other, unit):
+    # (and L0 (and L1 ... (and L1999 true))) reads to the formula that the
+    # flat (and L0 L1 ... L1999 true) does, without recursing per level.
+    symbols = formula_symbols_fga()
+    lits = [
+        f"(= {'(f ' * (i % 7)}a{')' * (i % 7)} b)" if i % 3
+        else f"({other} (= a (g b)) (not (= b (f a))))"
+        for i in range(2000)
+    ]
+    nested = "".join(f"({head} {lit} " for lit in lits) + unit + ")" * 2000
+    f = parse_formula(nested, symbols)
+    assert f == parse_formula(f"({head} {' '.join(lits)} {unit})", symbols)
+    assert len(f.parts) == 8
+
+
 def test_parse_formula_let_bound_argument_arity():
     # The arguments are read under the let, so the arity is what is wrong.
     with pytest.raises(InputError) as e:
