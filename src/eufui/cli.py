@@ -1,14 +1,16 @@
 """Command-line driver: parse, preprocess, run, verify, print.
 
-Exit codes: 0 success, 1 verification failure, 2 input/usage error,
-3 resource cap hit. The interpolant goes to stdout; stats go to stderr,
-as a single JSON line under --format stats-json.
+Exit codes: 0 success, 1 verification failure, 2 input/usage error or
+closed output, 3 resource cap hit. The interpolant goes to stdout; stats
+go to stderr, as a single JSON line under --format stats-json.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import time
 
@@ -91,6 +93,24 @@ def _emit_stats(args, stats: dict, elapsed_ms: int) -> None:
 
 
 def main(argv=None) -> int:
+    """Run the CLI. A closed stdout or stderr, or one whose reader is gone, ends the
+    run with exit 2, then both point at devnull so the flush at exit cannot fail."""
+    if sys.stdout is None or sys.stderr is None:  # its descriptor was closed at start-up
+        return 2
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except OSError:
+        with open(os.devnull, "wb") as devnull:
+            for stream in (sys.stdout, sys.stderr):
+                with contextlib.suppress(OSError, ValueError):  # no file descriptor
+                    os.dup2(devnull.fileno(), stream.fileno())
+        return 2
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verify == "equivalence" and args.algorithm != "both":
@@ -114,7 +134,6 @@ def main(argv=None) -> int:
         if args.algorithm in ("conditional", "both"):
             cond = compute_conditional_ui(pre, budget=budget)
 
-        verified_line = None
         if args.verify == "residue":
             inp = mk_and(problem.body)
             for result in (tab, cond):
@@ -131,7 +150,6 @@ def main(argv=None) -> int:
                 direction, cube = witness
                 print(f"verification-failed {direction} " + format_formula(mk_and(cube)))
                 return 1
-            verified_line = "equivalent"
         # Sizing and printing build formulas too: a run past its deadline stops
         # here, or while the output is formatted, before any of it is printed.
         stats = {k: v for r in (tab, cond) if r is not None for k, v in r.stats.items()}
@@ -148,8 +166,8 @@ def main(argv=None) -> int:
         return 3
 
     print(text)
-    if verified_line:
-        print(verified_line)
+    if args.verify == "equivalence":
+        print("equivalent")
 
     elapsed_ms = int((time.monotonic() - started) * 1000)
     _emit_stats(args, _collect_stats(args, stats, cond if cond is not None else tab), elapsed_ms)

@@ -59,30 +59,19 @@ def _atom_key(a: Eq) -> tuple[int, int]:
 
 
 def make_clause(antecedent, consequent, keep_tautology: bool = False):
-    """Canonical clause, or None when it simplifies to a tautology.
+    """The one constructor of clauses: canonical, or None for a tautology.
 
-    Application-pair merges must survive even when the consequent repeats
-    an antecedent atom: their rewritten descendants are the clauses that
-    keep later merges subsumption-closed.
+    Antecedent atoms are oriented, trivial ones dropped, and the interned rest
+    kept once each, sorted by side ids. A 0-ary consequent is oriented; it is a
+    tautology when trivial, or when among the atoms unless keep_tautology: the
+    rewrites of application-pair merges keep later merges subsumption-closed.
     """
-    atoms = []
-    seen = set()
-    for a in antecedent:
-        a = orient(a)
-        if a.lhs is a.rhs:
-            continue
-        key = _atom_key(a)
-        if key not in seen:
-            seen.add(key)
-            atoms.append(a)
-    atoms.sort(key=_atom_key)
+    atoms = {a for a in map(orient, antecedent) if a.lhs is not a.rhs}
     if consequent is not None and not consequent.lhs.args:
         consequent = orient(consequent)
-        if consequent.lhs is consequent.rhs:
+        if consequent.lhs is consequent.rhs or (consequent in atoms and not keep_tautology):
             return None
-        if _atom_key(consequent) in seen and not keep_tautology:
-            return None
-    return HornClause(tuple(atoms), consequent)
+    return HornClause(tuple(sorted(atoms, key=_atom_key)), consequent)
 
 
 def _with_operands(c: HornClause, ops):
@@ -133,9 +122,7 @@ def step1(pre, budget: Budget = Budget(), stats: dict | None = None) -> list[Hor
             budget.count(stats, "clauses_created")
 
     for lit in pre.s1:
-        if is_app_eq(lit):
-            push(HornClause((), lit))
-        elif isinstance(lit, Ne):
+        if isinstance(lit, Ne):
             push(make_clause((Eq(lit.lhs, lit.rhs),), None))
         else:
             push(make_clause((), lit))
@@ -170,7 +157,7 @@ def _rewrite_once(r: HornClause, c: HornClause) -> list[HornClause]:
 
 
 def _subsumes(d: HornClause, c: HornClause) -> bool:
-    return d.consequent == c.consequent and set(d.antecedent) <= set(c.antecedent)
+    return d.consequent is c.consequent and set(d.antecedent) <= set(c.antecedent)
 
 
 def step2(clauses, budget: Budget = Budget(), order: str = "fifo", stats: dict | None = None):
@@ -241,7 +228,7 @@ def _def_body(c: HornClause, w: Symbol, allowed: set):
     return None
 
 
-def enumerate_cdags(s3, evars, budget: Budget = Budget(), stats: dict | None = None):
+def enumerate_cdags(s3, evars, budget: Budget, stats: dict):
     """Yield every definition chain in canonical order (each prefix once).
 
     A chain entry may reuse its clause's consequent in either orientation.
@@ -251,8 +238,6 @@ def enumerate_cdags(s3, evars, budget: Budget = Budget(), stats: dict | None = N
     yielded lazily; `cdags_visited` in stats covers every tree node seen so
     far, and the cdag cap raises with stats.
     """
-    if stats is None:
-        stats = {"cdags_visited": 0}
     position = {w: i for i, w in enumerate(evars)}
 
     def dfs(allowed: set, entries: list):
@@ -286,9 +271,7 @@ def _clause_trivial(c: HornClause, mapping: dict) -> bool:
     if c.consequent is None:
         return False
     ante, cq = _substituted(c, mapping)
-    if cq.lhs is cq.rhs:
-        return True
-    return any(a.atom == cq.atom for a in ante)
+    return cq.lhs is cq.rhs or any(a.atom == cq.atom for a in ante)
 
 
 def _clause_formula(c: HornClause, mapping: dict):

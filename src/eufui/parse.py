@@ -174,16 +174,14 @@ def parse(text) -> Problem:
 
     # Re-kind the eliminated constants as quantified, in eliminate order.
     eliminate: list[Symbol] = []
-    seen = set()
     for name, node in eliminate_names:
         sym = symbols.get(name)
         if sym is None:
             raise InputError(f"undeclared symbol {name}", node.line, node.col)
+        if sym.kind == "quantified":  # re-kinded by an earlier entry
+            raise InputError(f"duplicate eliminate entry {name}", node.line, node.col)
         if sym.kind != "parameter":
             raise InputError(f"{name} cannot be eliminated", node.line, node.col)
-        if name in seen:
-            raise InputError(f"duplicate eliminate entry {name}", node.line, node.col)
-        seen.add(name)
         q = mk_symbol(name, 0, "quantified")
         symbols[name] = q
         eliminate.append(q)

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -106,14 +109,15 @@ def test_residue_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert out.startswith("verification-failed residue ")
 
 
-def test_equivalence_failure_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "euf_equiv", lambda *a, **k: (False, ("only-if", [])))
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_equivalence_failure_exits_1(tmp_path, capsys, monkeypatch, direction):
+    monkeypatch.setattr(cli, "euf_equiv", lambda *a, **k: (False, (direction, [])))
     code, out, _ = run_cli(
         capsys,
         ["--algorithm", "both", "--verify", "equivalence", write(tmp_path, EX22)],
     )
     assert code == 1
-    assert out.startswith("verification-failed only-if ")
+    assert out.startswith(f"verification-failed {direction} ")
 
 
 # Exit 2: unreadable, unparseable, or inconsistent invocations.
@@ -132,6 +136,52 @@ def test_invalid_utf8_on_stdin_exits_2(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: not valid UTF-8")
     assert "Traceback" not in err
+
+
+HEADER = "(declare-sort U 0)(declare-fun f (U) U)(declare-const a U)(declare-const e U)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(declare-sort U 0)(declare-sort V 0)", "1:19: duplicate declaration of sort V"),
+    (HEADER + "(eliminate x)", "1:89: undeclared symbol x"),
+    (HEADER + "(eliminate f)", "1:89: f cannot be eliminated"),
+    ("(declare-sort U 0)(declare-const e U)(eliminate e e)", "1:51: duplicate eliminate entry e"),
+    (HEADER + "(eliminate e)(assert a)", "1:99: non-literal assertion"),
+    (HEADER + "(eliminate e)(assert (not a))", "1:99: non-literal assertion"),
+    (HEADER + "(eliminate e)(assert (not (f a)))", "1:99: non-literal assertion"),
+])
+def test_problem_reader_errors_exit_2(tmp_path, capsys, text, message):
+    code, out, err = run_cli(capsys, [write(tmp_path, text)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_closed_output_stream_exits_2(stream):
+    """A stream whose reader is gone before the run starts: exit 2, no
+    traceback, and no second error when the interpreter flushes at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    other = "stderr" if stream == "stdout" else "stdout"
+    argv = ["--algorithm", "both", "--verify", "equivalence", demo("sixteen_branches.smt")]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eufui.cli", *argv], timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
+            **{stream: write_end, other: subprocess.PIPE},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert b"Traceback" not in getattr(proc, other)
+    assert b"Exception ignored" not in getattr(proc, other)
+
+
+def test_stream_closed_at_start_up_exits_2(monkeypatch):
+    # Python sets sys.stdout to None when descriptor 1 is closed at start-up.
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main([demo("two_applications.smt")]) == 2
 
 
 def test_malformed_input_reports_position(tmp_path, capsys):

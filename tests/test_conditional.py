@@ -237,6 +237,29 @@ def test_nested_example_matches_branching_algorithm_target():
     assert_equiv(res.formula(unravel=True), problem, EX16_TARGET)
 
 
+def test_make_clause_canonical_form():
+    s = Sig()
+    f = s.fn("f", 1)
+    a, b, c = s.params("a", "b", "c")
+    e0, e1 = s.evars("e0", "e1")
+    # b = a once for both orientations, a = a dropped, the rest oriented and
+    # sorted by (lhs id, rhs id)
+    cl = make_clause([Eq(e1, c), Eq(a, b), Eq(c, e0), Eq(b, a), Eq(a, a)], None)
+    assert cl.antecedent == (Eq(b, a), Eq(e0, c), Eq(e1, c))
+    keys = [(x.lhs.id, x.rhs.id) for x in cl.antecedent]
+    assert keys == sorted(keys)
+    # a consequent repeating an antecedent atom, in either orientation
+    for ante, cq in (([Eq(e0, a)], Eq(a, e0)), ([Eq(a, e0)], Eq(e0, a)), ([Eq(e0, a)], Eq(e0, a))):
+        assert make_clause(ante, cq) is None
+        assert make_clause(ante, cq, keep_tautology=True).consequent == Eq(e0, a)
+    # a trivial 0-ary consequent, even for a merge
+    assert make_clause([Eq(a, b)], Eq(c, c)) is None
+    assert make_clause([Eq(a, b)], Eq(c, c), keep_tautology=True) is None
+    # an application consequent is kept as it is
+    fa = Eq(intern(f, (a,)), b)
+    assert make_clause((), fa) == HornClause((), fa)
+
+
 def test_rewrite_once_every_position_in_order():
     s = Sig()
     f = s.fn("f", 3)

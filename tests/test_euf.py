@@ -196,6 +196,17 @@ def test_euf_equiv_examples():
     assert cc_sat(cube)
 
 
+def test_euf_equiv_reports_the_backward_direction():
+    # a ⇒ b holds, so the counterexample is a cube of b ∧ ¬a.
+    s = Sig()
+    z1, z2, z3 = s.params("z1", "z2", "z3")
+    ok, (direction, cube) = euf_equiv(And((Eq(z1, z2), Eq(z2, z3))), Eq(z1, z3))
+    assert not ok
+    assert direction == "backward"
+    assert cube == [Eq(z1, z3), Ne(z1, z2)]
+    assert cc_sat(cube)
+
+
 def test_euf_equiv_let_expansion():
     s = Sig()
     f = s.fn("f", 1)

@@ -10,6 +10,7 @@ from conftest import assert_equiv, random_problem, shared_evar_text
 from test_preprocess import EX16, EX22, EX39
 
 from eufui import tableaux
+from eufui.conditional import compute_conditional_ui
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
 from eufui.formulas import FALSE, expand_lets, mk_and, wrap_definitions
@@ -153,6 +154,25 @@ def test_rule_1i_needs_application_sides():
     ui = compute_tableaux_ui(PreprocessedInput(s1=[Eq(e, z1), Eq(e, z2)], evars=[e.head]))
     assert ui.stats["rule_apps"] == {"1.0": 0, "1.i": 0, "1.ii": 0, "2": 1, "3": 1, "4": 0}
     assert format_formula(ui.formula()) == "(let ((y1 z1)) (= y1 z2))"
+
+
+# An input on which rule 1.0 drops a trivial equation instead of closing a branch.
+TRIVIAL_MERGE = """
+(declare-sort U 0)(declare-fun f (U U) U)(declare-fun g (U) U)
+(declare-const a U)(declare-const b U)
+(declare-const e U)(declare-const e1 U)(declare-const e2 U)(declare-const e3 U)
+(eliminate e e1 e2 e3)
+(assert (= (f e a) e1))(assert (= (f e b) e2))(assert (= (g e1) e3))(assert (= (g e2) e3))
+"""
+
+
+@pytest.mark.parametrize("strategy", ["default", "reversed"])
+def test_rule_10_drops_a_trivial_equation(strategy):
+    problem, ui = run_text(TRIVIAL_MERGE, strategy=strategy)
+    assert ui.stats["branches_explored"] == 2
+    assert ui.stats["rule_apps"] == {"1.0": 1, "1.i": 1, "1.ii": 1, "2": 0, "3": 0, "4": 1}
+    cond = compute_conditional_ui(flatten(problem))
+    assert euf_equiv(ui.formula(), cond.formula()) == (True, None)
 
 
 def test_branch_cap():
