@@ -6,9 +6,9 @@ equality", and every input literal survives as a unit clause (a quantified
 disequality becomes an equality-implies-bottom clause). Step 2 saturates
 under rewriting by clauses whose consequent equates two quantified
 variables; a rewrite replaces one occurrence at any single operand position
-of a clause, all positions treated alike. The output conjoins, over every
-extractable chain of conditional definitions, the clauses expressible in
-the retained language once the chain's placeholders are bound.
+of a clause, all positions treated alike. The output conjoins, for every
+extractable chain of conditional definitions, `(let (defs) (=> guards core))`:
+the chain's definitions, its entries' antecedents, and its retained clauses.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import Budget
-from .formulas import FALSE, Let, expand_lets, let_env, mk_and, mk_eq, mk_implies, wrap_definitions
+from .formulas import FALSE, expand_lets, let_env, mk_and, mk_eq, mk_implies, wrap_definitions
 from .terms import (
     Eq,
     NamePool,
@@ -282,28 +282,21 @@ def _clause_formula(c: HornClause, mapping: dict):
 
 @dataclass
 class PhiDelta:
-    """One conditional definition chain with its retained-language clauses."""
+    """One conditional definition chain with its retained-language clauses.
+
+    An entry's antecedent mentions only earlier variables, so one let of all
+    the definitions over all the guards reads the atoms each prefix would."""
 
     entries: list
     core: list
     placeholders: dict = field(default_factory=dict)  # original var -> fresh symbol
 
-    def formula(self, unravel: bool = False):
+    def formula(self):
         wmap = {v: const(w) for v, w in self.placeholders.items()}
-        if not unravel:
-            body = mk_and([_clause_formula(c, wmap) for c in self.core])
-            for e in reversed(self.entries):
-                gamma = mk_and([mk_eq(a.lhs, a.rhs) for a in _substituted(e.clause, wmap)[0]])
-                bound = self.placeholders[e.var]
-                body = mk_implies(gamma, Let(((bound, term_substitute(e.body, wmap)),), body))
-            return body
-        # An entry's antecedent mentions only earlier variables, so binding the
-        # whole chain over every guard gives the same atoms as its prefix would.
-        guards = [mk_eq(a.lhs, a.rhs) for e in self.entries for a in e.clause.antecedent]
-        concl = mk_and([_clause_formula(c, {}) for c in self.core])
-        return expand_lets(wrap_definitions(
-            [(e.var, e.body) for e in self.entries], mk_implies(mk_and(guards), concl)
-        ))
+        defs = [(self.placeholders[e.var], term_substitute(e.body, wmap)) for e in self.entries]
+        guards = [mk_eq(a.lhs, a.rhs) for e in self.entries for a in _substituted(e.clause, wmap)[0]]
+        core = mk_and([_clause_formula(c, wmap) for c in self.core])
+        return wrap_definitions(defs, mk_implies(mk_and(guards), core))
 
 
 @dataclass
@@ -323,10 +316,9 @@ class UiResultCnf:
         if self.falsified:
             return FALSE
         if unravel not in self._built:
-            parts = list(self.passthrough)
-            parts += [phi.formula(unravel=unravel) for phi in self.phis]
-            body = wrap_definitions(self.initial_delta, mk_and(parts))
-            self._built[unravel] = expand_lets(body) if unravel else body
+            self._built[unravel] = expand_lets(self.formula()) if unravel else wrap_definitions(
+                self.initial_delta, mk_and([*self.passthrough, *(phi.formula() for phi in self.phis)])
+            )
         return self._built[unravel]
 
 

@@ -370,9 +370,10 @@ def _find_sat_cube(hyp, concl, budget: Budget):
                 kind is Ne and p.lhs.id in parent and p.rhs.id in parent
                 and find(p.lhs.id) == find(p.rhs.id)
             ):
-                # The branch would fail: learn its complement at once.
-                if not assume(p.neg):
-                    return None
+                # The branch would fail: learn its complement at once. That Eq
+                # makes no union, and had its atom been decided Ne, the closure
+                # would be broken already, so it cannot fail.
+                assume(p.neg)
                 continue
             mark, masks = len(closure.trail), (eqs, nes)
             branch = []

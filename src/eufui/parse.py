@@ -36,6 +36,9 @@ from .terms import Eq, Ne, Symbol, Term, intern, mk_symbol
 # Deepest accepted application nesting in a problem term; term_substitute
 # recurses on term depth.
 MAX_TERM_DEPTH = 256
+# Deepest accepted nesting of parse_formula's recursion; nnf, format_formula,
+# fsize and the oracle recurse on formula depth, up to two frames a level.
+MAX_FORMULA_DEPTH = 256
 
 
 @dataclass
@@ -130,8 +133,6 @@ def parse(text) -> Problem:
                 raise InputError("only arity-0 sorts are supported", rest[1].line, rest[1].col)
             if sort is not None:
                 raise InputError(f"duplicate declaration of sort {name}", node.line, node.col)
-            if name in symbols:
-                raise InputError(f"duplicate declaration of {name}", node.line, node.col)
             sort = name
         elif head == "declare-fun":
             if len(rest) != 3 or not isinstance(rest[1].value, list):
@@ -270,14 +271,17 @@ def _parse_literal(node: SExpr, symbols: dict[str, Symbol]):
 
 
 def parse_formula(text: str, symbols: dict[str, Symbol]):
-    """Parse a printed formula back; let bindings are substituted away."""
+    """Parse a printed formula back; let bindings are substituted away. Nesting
+    read by recursion deeper than MAX_FORMULA_DEPTH raises InputError."""
     nodes = read_sexprs(text)
     if len(nodes) != 1:
         raise InputError("expected exactly one formula")
     return _parse_formula(nodes[0], dict(symbols), {})
 
 
-def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]):
+def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term], depth: int = 1):
+    if depth > MAX_FORMULA_DEPTH:
+        raise InputError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", node.line, node.col)
     # A let body is read in this loop, not by recursion: the printer nests
     # one let per definition.
     while True:
@@ -314,16 +318,16 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
             elif isinstance(sub.value, list) and sub.value and sub.value[0].value == head:
                 stack.append(iter(sub.value[1:]))
             else:
-                parts.append(_parse_formula(sub, symbols, env))
+                parts.append(_parse_formula(sub, symbols, env, depth + 1))
         return (mk_and if head == "and" else mk_or)(parts)
     if head == "not":
         if len(rest) != 1:
             raise InputError("not takes one formula", node.line, node.col)
-        return nnf(_parse_formula(rest[0], symbols, env), False)
+        return nnf(_parse_formula(rest[0], symbols, env, depth + 1), False)
     if head == "=>":
         if len(rest) < 2:
             raise InputError("=> takes at least two formulas", node.line, node.col)
-        parts = [_parse_formula(sub, symbols, env) for sub in rest]
+        parts = [_parse_formula(sub, symbols, env, depth + 1) for sub in rest]
         out = parts[-1]
         for p in reversed(parts[:-1]):
             out = mk_implies(p, out)

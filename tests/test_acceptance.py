@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
-from conftest import assert_equiv, doubling_chain, random_problem
+from conftest import assert_equiv, brute_force_sat, doubling_chain, iter_partitions, random_problem
 from test_conditional import (
     THREE_CHAIN,
     THREE_CHAIN_TARGETS,
@@ -24,8 +26,8 @@ from test_tableaux import EX16_TARGET, EX22_TARGET, EX39_TARGET
 from eufui import cli
 from eufui.conditional import compute_conditional_ui
 from eufui.errors import Budget, ResourceLimitError
-from eufui.euf import euf_equiv, euf_valid
-from eufui.formulas import fsize, mk_and
+from eufui.euf import cc_sat, euf_equiv, euf_valid
+from eufui.formulas import FALSE, And, Implies, Or, expand_lets, fsize, mk_and
 from eufui.parse import Problem, format_formula, parse
 from eufui.preprocess import flatten
 from eufui.tableaux import compute_tableaux_ui
@@ -134,7 +136,7 @@ def test_criterion_05_nested_example_saturation():
     assert after - before == {"[z2=z1]->(f z1 e0)=e1", "[z2=z1]->(h e1)=z0"}
     assert len(cond.phis) == 2
     for phi in cond.phis:
-        assert_equiv(phi.formula(unravel=True), problem, EX39_TARGET)
+        assert_equiv(expand_lets(phi.formula()), problem, EX39_TARGET)
     assert time.monotonic() - started < 1.0
 
 
@@ -257,3 +259,107 @@ def test_criterion_12_compression(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().err)
     assert stats["ui_compressed_size"] == sizes["conditional"][5][0]
     assert stats["ui_unravelled_size"] == sizes["conditional"][5][1]
+
+
+# The bench corpus: its reference seed's 200 instances, corpus row 58 among
+# them, with both engines' results.
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_CORPUS_SEED = 20260823
+
+
+@pytest.fixture(scope="module")
+def bench_corpus():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rows = []
+    for text in workloads.corpus(BENCH_CORPUS_SEED):
+        problem = parse(text)
+        pre = flatten(problem)
+        rows.append((problem, compute_tableaux_ui(pre), compute_conditional_ui(pre)))
+    return rows
+
+
+def test_unravelled_result_is_expand_lets_of_let_form(bench_corpus):
+    demos = [flatten(parse(p.read_text())) for p in sorted((ROOT / "demos" / "inputs").glob("*.smt"))]
+    results = [ui for pre in demos for ui in (compute_tableaux_ui(pre), compute_conditional_ui(pre))]
+    results += [ui for _, tab, cond in bench_corpus for ui in (tab, cond)]
+    assert len(results) == 2 * (6 + 200)
+    for i, ui in enumerate(results):
+        assert ui.formula(unravel=True) == expand_lets(ui.formula()), i
+
+
+def formula_atoms(f) -> list:
+    """Every literal of a let-free formula."""
+    if isinstance(f, (Eq, Ne)):
+        return [f]
+    if isinstance(f, (And, Or)):
+        return [a for p in f.parts for a in formula_atoms(p)]
+    if isinstance(f, Implies):
+        return formula_atoms(f.lhs) + formula_atoms(f.rhs)
+    return []
+
+
+def add_subterms(t, out: dict) -> None:
+    if t not in out:
+        out[t] = None
+        for a in t.args:
+            add_subterms(a, out)
+
+
+def flat_form(lits):
+    """lits with any application on the left, when each is a constant
+    (dis)equality or an application of constants against a constant; else None."""
+    out = []
+    for lit in lits:
+        if lit.rhs.args:
+            lit = type(lit)(lit.rhs, lit.lhs)
+        if lit.rhs.args or any(a.args for a in lit.lhs.args):
+            return None
+        out.append(lit)
+    return out
+
+
+# Arrangements are enumerated for instances with at most this many e-free
+# terms: 141 of the 200 bench-corpus instances, in about 2 s.
+STRENGTH_MAX_TERMS = 7
+
+
+def test_interpolants_are_strongest_on_every_arrangement(bench_corpus):
+    """Both engines' interpolants are as strong as the input over its e-free terms.
+
+    T is the e-free subterms of the input and of both unravelled interpolants.
+    Each set partition of T, read as equalities inside blocks and disequalities
+    across them, is an arrangement: it decides every atom over T. The uniform
+    interpolant is the strongest e-free consequence, so every arrangement that
+    refutes the input must refute each interpolant too. The closure decides the
+    input's side, and so does brute_force_sat wherever every literal is flat.
+    """
+    covered = arrangements = refuted = brute = 0
+    for i, (problem, tab, cond) in enumerate(bench_corpus):
+        interpolants = [tab.formula(unravel=True), cond.formula(unravel=True)]
+        terms = {}
+        for lit in [*problem.body, *(a for f in interpolants for a in formula_atoms(f))]:
+            add_subterms(lit.lhs, terms)
+            add_subterms(lit.rhs, terms)
+        efree = [t for t in terms if t.efree]
+        if len(efree) > STRENGTH_MAX_TERMS:
+            continue
+        covered += 1
+        for blocks in iter_partitions(efree):
+            alpha = [Eq(b[0], t) for b in blocks for t in b[1:]]
+            alpha += [Ne(b[0], c[0]) for j, b in enumerate(blocks) for c in blocks[j + 1:]]
+            arrangements += 1
+            sat = cc_sat([*problem.body, *alpha])
+            flat = flat_form([*problem.body, *alpha])
+            if flat is not None:
+                consts = {t: None for lit in flat for t in (*lit.lhs.args, lit.lhs, lit.rhs) if not t.args}
+                assert brute_force_sat(list(consts), flat) == sat, (i, blocks)
+                brute += 1
+            if sat:
+                continue
+            refuted += 1
+            for f in interpolants:
+                assert euf_valid(mk_and([f, *alpha]), FALSE)[0], (i, blocks)
+    assert (covered, arrangements, refuted, brute) == (141, 17576, 15459, 35)

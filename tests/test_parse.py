@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import unary_chain
 from eufui.errors import InputError
-from eufui.euf import euf_equiv
-from eufui.formulas import FALSE, TRUE, Implies, Let, Or, mk_and, mk_or, nnf
-from eufui.parse import format_formula, parse, parse_formula, print_ui
+from eufui.euf import euf_equiv, euf_valid
+from eufui.formulas import FALSE, TRUE, Implies, Let, Or, fsize, mk_and, mk_or, nnf
+from eufui.parse import MAX_FORMULA_DEPTH, format_formula, parse, parse_formula, print_ui
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
 
 EX22 = """
@@ -110,6 +110,7 @@ TERM_DECLS = "(declare-sort U 0)(declare-fun f (U) U)(declare-fun g (U U) U)(dec
         (TERM_DECLS + "(assert (= (f ((f a) a)) a))", "2:16: expected a function name"),
         (TERM_DECLS + "(assert (= a " + "(f " * 257 + "a" + ")" * 257 + "))", "2:782: term nested deeper than 256"),
         (TERM_DECLS + "(assert (= a " + "(f " * 256 + "()" + ")" * 256 + "))", "2:782: empty term"),
+        (TERM_DECLS + " (assert (distinct a))", "2:10: distinct takes at least two terms"),
     ],
 )
 def test_parse_error_line_and_column(text, message):
@@ -274,3 +275,59 @@ def test_parse_formula_reads_negation_in_nnf():
     assert parse_formula("(not (= a b))", symbols) == Ne(a, b)
     f = parse_formula("(not (and (= a b) (not (= a (f b)))))", symbols)
     assert f == Or((Ne(a, b), Eq(a, intern(symbols["f"], (b,)))))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "expected exactly one formula"),
+        ("(= a b) (= a b)", "expected exactly one formula"),
+        ("(and (= a b)\n  a)", "2:3: expected a formula, got a"),
+        ("(or (= a b) ())", "1:13: empty formula"),
+        ("(let (= a b))", "1:1: let takes bindings and a body"),
+        ("(let ((x a)) (= x b) (= x a))", "1:1: let takes bindings and a body"),
+        ("(let ((x a) (y)) (= x y))", "1:13: malformed let binding"),
+        ("(let (x) (= x a))", "1:7: malformed let binding"),
+        ("(=> (= a b) (not (= a b) (= b a)))", "1:13: not takes one formula"),
+        ("(and (= a b) (=> (= a b)))", "1:14: => takes at least two formulas"),
+        ("(or (= a b) (= a b b))", "1:13: = takes two terms"),
+        ("(and (= a b) (xor (= a b) (= b a)))", "1:14: unknown connective xor"),
+    ],
+)
+def test_parse_formula_error_messages(text, message):
+    with pytest.raises(InputError) as e:
+        parse_formula(text, formula_symbols_fga())
+    # InputError puts its line and column ahead of the message, when it has them.
+    assert str(e.value) == message
+
+
+def formula_nest(wrappers, depth):
+    """A formula whose innermost atom parse_formula reads `depth` calls deep,
+    and that atom's column: the wrappers, cycled from the outside in, are
+    `(not X)` or `(op X atom)`, each one call deeper than the last."""
+    prefix, suffix = "", ""
+    for i in range(depth - 1):
+        op = wrappers[i % len(wrappers)]
+        prefix += f"({op} "
+        suffix = (")" if op == "not" else f" {('(= a b)', '(= a (f b))')[i % 2]})") + suffix
+    return prefix + "(= b (f a))" + suffix, len(prefix) + 1
+
+
+@pytest.mark.parametrize("wrappers", [("and", "or"), ("not", "and")], ids=["and-or", "not-and"])
+def test_parse_formula_depth_bound(wrappers):
+    # At the bound, every reader that recurses per level still fits the
+    # default recursion limit; one level past it is a positioned input error.
+    symbols = formula_symbols_fga()
+    text, _ = formula_nest(wrappers, MAX_FORMULA_DEPTH)
+    f = parse_formula(text, symbols)
+    # Compared as text: dataclass equality recurses too, several frames a level.
+    printed = format_formula(f)
+    assert format_formula(nnf(nnf(f, False), False)) == format_formula(nnf(f)) == printed
+    assert format_formula(parse_formula(printed, symbols)) == printed
+    assert fsize(f) > MAX_FORMULA_DEPTH
+    assert euf_valid(f, f) == (True, None)
+    assert not euf_valid(f, FALSE)[0]
+    text, col = formula_nest(wrappers, MAX_FORMULA_DEPTH + 1)
+    with pytest.raises(InputError) as e:
+        parse_formula(text, symbols)
+    assert str(e.value) == f"1:{col}: formula nested deeper than {MAX_FORMULA_DEPTH}"
