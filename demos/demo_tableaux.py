@@ -20,7 +20,7 @@ def show(name: str) -> None:
     print(f"branches explored: {result.stats['branches_explored']}"
           f"  rule-4 splits: {result.stats['rule4_firings']}")
     for k, disjunct in enumerate(result.disjuncts, 1):
-        print(f"  disjunct {k}: {format_formula(disjunct.formula)}")
+        print(f"  disjunct {k}: {format_formula(disjunct)}")
     print(f"UI: {print_ui(result)}")
     print()
 

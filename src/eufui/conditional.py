@@ -343,7 +343,7 @@ def compute_conditional_ui(pre, budget: Budget = Budget(), order: str = "fifo") 
             continue
         wnames = NamePool("w", pre.taken_names, 1)
         names = {e.var: mk_symbol(wnames.fresh(), 0, "defined") for e in entries}
-        phis.append(PhiDelta(list(entries), core, names))
+        phis.append(PhiDelta(entries, core, names))
     stats["num_cdags"] = len(phis)
 
     return UiResultCnf(phis, list(pre.passthrough), list(pre.initial_delta), s2, s3, stats)

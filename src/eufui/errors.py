@@ -57,9 +57,9 @@ class Budget:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitError("timeout exceeded", stats)
 
-    def count(self, stats: dict, key: str, n: int = 1) -> None:
-        """Add n to stats[key]; raise once it passes that counter's cap."""
-        stats[key] += n
+    def count(self, stats: dict, key: str) -> None:
+        """Add one to stats[key]; raise once it passes that counter's cap."""
+        stats[key] += 1
         cap, message = _CAPS[key]
         if stats[key] > getattr(self, cap):
             raise ResourceLimitError(message, stats)

@@ -36,9 +36,9 @@ from .terms import Eq, Ne, Symbol, Term, intern, mk_symbol
 # Deepest accepted application nesting in a problem term; term_substitute
 # recurses on term depth.
 MAX_TERM_DEPTH = 256
-# Deepest accepted nesting of parse_formula's recursion; nnf, format_formula,
-# fsize and the oracle recurse on formula depth, up to two frames a level.
-MAX_FORMULA_DEPTH = 256
+# Deepest accepted nesting of parse_formula's recursion; nnf, format_formula, fsize,
+# the oracle and `==` between formulas recurse on formula depth, `==` several frames a level.
+MAX_FORMULA_DEPTH = 128
 
 
 @dataclass
@@ -267,7 +267,7 @@ def _parse_literal(node: SExpr, symbols: dict[str, Symbol]):
     raise InputError("non-literal assertion", node.line, node.col)
 
 
-# --- formula parsing (for verify-mode round trips) -------------------------
+# --- formula parsing (reads printed interpolants back) ---------------------
 
 
 def parse_formula(text: str, symbols: dict[str, Symbol]):
@@ -276,7 +276,7 @@ def parse_formula(text: str, symbols: dict[str, Symbol]):
     nodes = read_sexprs(text)
     if len(nodes) != 1:
         raise InputError("expected exactly one formula")
-    return _parse_formula(nodes[0], dict(symbols), {})
+    return _parse_formula(nodes[0], symbols, {})
 
 
 def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term], depth: int = 1):

@@ -18,7 +18,7 @@ done the search undoes back to the mark and applies the next. phi and delta
 only grow along a branch, so a mark holds their lengths, the name counter
 and the scan's resume point. Terminal work sets hold nothing but blocked
 applications and quantified disequalities and are discarded, so each open
-leaf contributes a snapshot of (delta, phi).
+leaf contributes one formula: phi's conjunction under the definitions it reaches.
 """
 from __future__ import annotations
 
@@ -79,14 +79,9 @@ def _tally(counts: dict, key, step: int) -> int:
 
 
 @dataclass
-class Disjunct:
-    delta: list
-    phi: list
-    formula: object  # the conjunction of phi under the definitions it reaches
-
-
-@dataclass
 class UiResultDnf:
+    """The tableaux result: `disjuncts` are the open leaves' formulas in printed-text order."""
+
     disjuncts: list
     stats: dict
     # format_formula's memo: the sort filled it with every disjunct's text.
@@ -96,9 +91,7 @@ class UiResultDnf:
     def formula(self, unravel: bool = False):
         """The disjunction, built once per unravel flag."""
         if unravel not in self._built:
-            self._built[unravel] = (
-                expand_lets(self.formula()) if unravel else mk_or([d.formula for d in self.disjuncts])
-            )
+            self._built[unravel] = expand_lets(self.formula()) if unravel else mk_or(self.disjuncts)
         return self._built[unravel]
 
 
@@ -255,9 +248,7 @@ def compute_tableaux_ui(
         return UiResultDnf([], stats)
 
     def first(codes: list, code: int) -> int:
-        """Position of the first literal with this code in scan order, or -1."""
-        if code not in codes:
-            return -1
+        """Position of the first literal with this code in scan order."""
         return codes.index(code) if forward else len(codes) - 1 - codes[::-1].index(code)
 
     # (t, u) -> None when rule 4 cannot split t and u, else, for each argument
@@ -274,10 +265,10 @@ def compute_tableaux_ui(
     def fire(b: _Branch):
         """Apply the first matching rule; return its name (None if none) and the outcome."""
         psi, codes = b.psi, b.codes
-        # Only rules 1.i and 4 can apply when no code is below _APP.
-        low = codes if min(codes, default=_APP) < _APP else ()
-        i = first(low, _TRIVIAL)
-        if i >= 0:
+        # The lowest code picks the single-literal rule; only 1.i and 4 apply when none is below _APP.
+        code = min(codes, default=_APP)
+        i = first(codes, code) if code < _APP else None
+        if code == _TRIVIAL:
             if isinstance(psi[i], Ne):
                 return "1.0", "closed"
             b.remove(i)
@@ -289,20 +280,17 @@ def compute_tableaux_ui(
                 if l1.lhs is l2.lhs:
                     b.replace(apps[x], orient(Eq(l1.rhs, l2.rhs)))
                     return "1.i", "open"
-        i = first(low, _QPAIR)
-        if i >= 0:
+        if code == _QPAIR:
             b.eliminate(i, psi[i].lhs.head, psi[i].rhs)
             return "1.ii", "open"
-        i = first(low, _DEFINES)
-        if i >= 0:
+        if code == _DEFINES:
             lit = psi[i]
             evar, body = (lit.rhs.head, lit.lhs) if lit.lhs.args else (lit.lhs.head, lit.rhs)
             y = mk_symbol(b.ynames.fresh(), 0, "defined")
             b.delta.append((y, body))
             b.eliminate(i, evar, const(y))
             return "2", "open"
-        i = first(low, _EFREE)
-        if i >= 0:
+        if code == _EFREE:
             lit = b.remove(i)
             if lit not in b.in_phi:
                 b.retain(lit)
@@ -325,7 +313,7 @@ def compute_tableaux_ui(
         # equation is equisatisfiable with the unravelled literals.
         return cc_sat(b.phi + [Eq(const(y), t) for y, t in b.delta])
 
-    disjuncts: list[Disjunct] = []
+    disjuncts = []
     branch = _Branch(pre)
     stack = [(branch.mark(), None)]  # (mark, rule-4 successor to apply after undoing to it)
     ticks = 0
@@ -350,11 +338,11 @@ def compute_tableaux_ui(
             continue
         budget.count(stats, "branches_explored")
         if outcome == "terminal" and keep(branch):
-            delta, phi = list(branch.delta), list(branch.phi)
+            phi = branch.phi
             # in_phi and the blocking test keep each literal of phi once.
             body = And(tuple(phi)) if len(phi) > 1 else mk_and(phi)
-            disjuncts.append(Disjunct(delta, phi, wrap_definitions(delta, body)))
+            disjuncts.append(wrap_definitions(branch.delta, body))
 
     formats = {}
-    disjuncts.sort(key=lambda d: format_formula(d.formula, formats))
+    disjuncts.sort(key=lambda d: format_formula(d, formats))
     return UiResultDnf(disjuncts, stats, formats)

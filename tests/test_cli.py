@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 from conftest import assert_equiv, doubling_chain, linear_chain, shared_evar_text
-from test_conditional import THREE_CHAIN
+from test_conditional import THREE_CHAIN, chain_gadget
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX22_CLOSED, EX22_CLOSED_TARGET, EX22_TARGET, EX39_TARGET
 
@@ -417,6 +417,34 @@ def test_timeout_bounds_printing(tmp_path, capsys):
         assert time.monotonic() - started < 0.5
 
 
+WALL_CLOCK_CASES = {
+    # Uncapped, each run takes 0.6-5.5 s on a 2-core x86-64 host; the counters show the phase
+    # the deadline stopped: the tableaux, step 2 (s3 not yet set) and the oracle.
+    "tableaux": (shared_evar_text(9), ["--algorithm", "tableaux"]),
+    "step2": (chain_gadget(6)[0], ["--algorithm", "conditional"]),
+    "oracle": (shared_evar_text(7), ["--algorithm", "both", "--verify", "equivalence"]),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(WALL_CLOCK_CASES))
+def test_timeout_bounds_each_engine_phase(phase, tmp_path, capsys):
+    text, flags = WALL_CLOCK_CASES[phase]
+    path = write(tmp_path, text)
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, [*flags, "--timeout-ms", "100", path])
+    assert time.monotonic() - started < 0.4
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: timeout exceeded ")
+    counters = json.loads(err.split("timeout exceeded ", 1)[1])
+    if phase == "tableaux":
+        assert "branches_explored" in counters
+    elif phase == "step2":
+        assert (counters["s2_size"], counters["s3_size"]) == (48, 0)
+    else:
+        assert set(counters) == {"cubes_spent"} and counters["cubes_spent"] > 0
+
+
 # Rule 2 in flattening: a chain of e-free definitions never reaches saturation.
 
 def test_linear_definition_chain_needs_no_saturation(tmp_path, capsys):
@@ -552,6 +580,28 @@ def test_readme_flag_table_matches_parser():
         if action.choices:
             assert any(f"`{names[0]} {{{','.join(action.choices)}}}`" in cell for cell in flag_cells), names
     assert documented <= options
+
+
+def readme_block(readme, heading, fence):
+    """The first fenced block opening with `fence` under `## heading`."""
+    section = readme.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    monkeypatch.chdir(root)
+    commands = readme_block(readme, "Command line", "```sh").splitlines()
+    assert commands and all(line.startswith("euf-ui ") for line in commands)
+    for line in commands:
+        assert run_cli(capsys, line.split()[1:])[0] == 0, line
+    exec(readme_block(readme, "Library", "```python"), {})
+    capsys.readouterr()
+    stated = re.search(r"For the file above the interpolant is `([^`]*)`", readme).group(1)
+    example = readme_block(readme, "Input format", "```")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(example.encode())))
+    assert run_cli(capsys, [])[:2] == (0, stated + "\n")
 
 
 # The documented exit contract on mutated inputs: codes 0-3 only, never an

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from pathlib import Path
 
 import pytest
 from conftest import assert_equiv, random_problem, shared_evar_text
@@ -13,11 +12,11 @@ from eufui import tableaux
 from eufui.conditional import compute_conditional_ui
 from eufui.errors import Budget, ResourceLimitError
 from eufui.euf import euf_equiv, euf_valid
-from eufui.formulas import FALSE, expand_lets, mk_and, wrap_definitions
+from eufui.formulas import FALSE, And, Let, expand_lets, formula_symbols, mk_and, wrap_definitions
 from eufui.parse import format_formula, parse
 from eufui.preprocess import PreprocessedInput, flatten
 from eufui.tableaux import compute_tableaux_ui
-from eufui.terms import Eq, const, mk_symbol, term_symbols
+from eufui.terms import Eq, const, mk_symbol
 
 # EX22 with both results quantified and kept apart: the branch that merges
 # the arguments closes on e1 != e1.
@@ -66,7 +65,7 @@ def test_shared_subterm_example_branches_and_golden_disjunct():
     problem, ui = run_text(EX39)
     assert ui.stats["branches_explored"] == 4
     assert len(ui.disjuncts) == 4
-    printed = [format_formula(d.formula) for d in ui.disjuncts]
+    printed = [format_formula(d) for d in ui.disjuncts]
     golden = (
         "(let ((y1 z0)) (let ((y2 y1)) "
         "(and (= z4 z3) (= z2 z1) (= (h y2) z0))))"
@@ -78,7 +77,7 @@ def test_shared_subterm_example_branches_and_golden_disjunct():
 
 def test_shared_subterm_example_unravelled_disjunct():
     _, ui = run_text(EX39)
-    printed = [format_formula(expand_lets(d.formula)) for d in ui.disjuncts]
+    printed = [format_formula(expand_lets(d)) for d in ui.disjuncts]
     assert "(and (= z4 z3) (= z2 z1) (= (h z0) z0))" in printed
 
 
@@ -202,22 +201,6 @@ def test_shared_evar_output_pinned(setting):
     assert (digest, stats["branches_explored"], stats["rule4_firings"], stats["rule_apps"]) == SHARED6_PINS[setting]
 
 
-SIXTEEN = (Path(__file__).resolve().parent.parent / "demos" / "inputs" / "sixteen_branches.smt").read_text()
-
-
-@pytest.mark.parametrize("text", [EX16, SIXTEEN], ids=["EX16", "sixteen_branches"])
-def test_disjuncts_own_their_snapshots(text):
-    _, ui = run_text(text)
-    assert len(ui.disjuncts) > 1
-    for d in ui.disjuncts:
-        assert wrap_definitions(d.delta, mk_and(d.phi)) == d.formula
-    before = [(list(d.delta), list(d.phi)) for d in ui.disjuncts]
-    first = ui.disjuncts[0]
-    first.phi.append(first.phi[0])
-    first.delta.append(first.delta[0] if first.delta else None)
-    assert [(list(d.delta), list(d.phi)) for d in ui.disjuncts[1:]] == before[1:]
-
-
 def test_timeout_reports_work_done(counting_clock):
     pre = flatten(parse(shared_evar_text(7)))
     assert compute_tableaux_ui(pre).stats["branches_explored"] == 877
@@ -262,11 +245,7 @@ def test_disjuncts_mention_only_retained_symbols():
         problem = random_problem(rng)
         ui = compute_tableaux_ui(flatten(problem))
         for d in ui.disjuncts:
-            for lit in d.phi:
-                for t in (lit.lhs, lit.rhs):
-                    assert all(s.kind != "quantified" for s in term_symbols(t))
-            for _, body in d.delta:
-                assert all(s.kind != "quantified" for s in term_symbols(body))
+            assert all(s.kind != "quantified" for s in formula_symbols(d))
 
 
 def test_residue_on_random_corpus():
@@ -306,12 +285,14 @@ def test_pair_scan_resumes_where_it_left_off(forward):
 
 
 def test_leaf_formula_joins_phi_as_is():
-    # Each leaf's phi holds every literal once, so its formula is phi's
-    # conjunction as it stands, under the definitions it reaches.
+    # Each leaf's phi holds every literal once, so its conjunction (the let
+    # body, or the leaf itself) is phi as it stands, as mk_and would build it.
     rng = random.Random(77)
     for _ in range(40):
         pre = flatten(random_problem(rng))
         for strategy in ("default", "reversed"):
             for d in compute_tableaux_ui(pre, strategy=strategy).disjuncts:
-                assert len(set(d.phi)) == len(d.phi)
-                assert d.formula == wrap_definitions(d.delta, mk_and(d.phi))
+                body = d.body if isinstance(d, Let) else d
+                parts = body.parts if isinstance(body, And) else (body,)
+                assert len(set(parts)) == len(parts)
+                assert body == mk_and(parts)
