@@ -32,7 +32,9 @@ def main() -> None:
     wrong = parse_formula("(= z1 z2)", problem.symbols)
     ok, cube = euf_valid(body, wrong)
     print(f"input entails {format_formula(wrong)}: {ok}")
-    print("witness cube:", format_formula(mk_and(cube)))
+    # The cube lists its literals in the order the oracle assumed them;
+    # printed newest first, the negated candidate leads.
+    print("witness cube:", format_formula(mk_and(cube[::-1])))
 
 
 if __name__ == "__main__":

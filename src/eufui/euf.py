@@ -1,57 +1,37 @@
 """Ground EUF decision procedures: congruence closure and validity checks.
 
-cc_sat decides conjunctions of ground (dis)equalities. euf_valid reduces
-validity to unsatisfiability: it looks for a cc-satisfiable cube of the
-hypothesis and the negated conclusion, and has two searches for it, both
-over one backtrackable closure (Nieuwenhuis & Oliveras, Inf. & Comp.
-2007). One `assume` adds each decided literal to the cube and to the
-closure, a merge or a recorded disequality, so the cube cap counts assumed
-literals; the deadline is checked once before the search, then at each
-assume and at each let the search reads. Both decide a literal by its
-`atom`, so deciding a = b also decides b = a, a != b and b != a
-(Nieuwenhuis, Oliveras & Tinelli, JACM 2006).
+cc_sat decides conjunctions of ground (dis)equalities. euf_valid looks for
+a cc-satisfiable cube of the hypothesis and the negated conclusion over one
+backtrackable closure (Nieuwenhuis & Oliveras, Inf. & Comp. 2007). Each
+literal assumed spends a cube of the cap and checks the deadline, which is
+also checked before the query is read and at each let read.
 
-The query's shape picks the search. A hypothesis that is a conjunction of
-literals and a conclusion that is an Or of such conjunctions, lets allowed
-in each, as in the residue check of a tableaux result, go to
-`_walk_disjuncts`: a case split over the disjuncts themselves, whose own
-literals are the decisions. One pass over the disjuncts gives each atom
-and class the int mask of the disjuncts that assigning it falsifies, and
-the walk keeps the disjuncts still alive as one mask. It walks the lowest
-alive disjunct to its first undecided literal and branches on it, then on
-its complement, which kills the disjunct; a disjunct whose every literal
-holds refutes the branch, and no disjunct alive leaves a witness. Every
-other query goes to `_find_sat_cube`, which reads it through
-`formulas._nnf`, once, the conclusion's negation included, into negation
-normal form without lets, and keeps its assignment as two masks over one
-bit per atom. Every disjunction is filed as its parts' bits and the masks
-of its Eq and of its Ne parts, so the search finds it satisfied, false,
-unit or open with a few int operations; an `And` part has a bit of its
-own, which no literal assigns, so it stays live until it is absorbed.
-Neither search branches on a literal whose sides the closure already
-holds in one class: the walk records the equality without an assume, and
-the clause search assumes the complement of such a Ne part at once, as
-after the failed branch.
+Queries of the shapes the engines produce go to `_walk_disjuncts`. The
+hypothesis becomes cubes: literals and ground Horn clauses `A ⇒ g` common
+to all, and the literals each part of its one Or adds. The conclusion
+becomes conjuncts `A ⇒ goal`, each goal a literal, FALSE or an Or of
+cubes. For each cube and conjunct, A is assumed and the goal's disjuncts
+are split on by their own literals (DPLL(T): Nieuwenhuis, Oliveras &
+Tinelli, JACM 2006); after each union the Horn clauses whose antecedents
+hold fire, with no case split (Gallier, JSC 1987). Other queries go to
+`_reference_search`, a plain case split.
 
 Every change the closure makes goes on its trail, and a failed branch
-undoes the trail to the mark taken before it; only a union can break a
-recorded disequality, so an assume that makes none checks just its own,
-and the check after a union compresses every path it walks. The closure
-never deletes a signature: a stale one holds a merged-away root, which no
-`find` returns until that merge is undone. A union puts the root with the
-shorter use list under the other, so an application only ever moves to a
-use list at least twice as long (Downey, Sethi & Tarjan, JACM 1980).
+undoes the trail to the mark taken before it. A union puts the root with
+the shorter use list under the other, so an application only ever moves
+to a use list at least twice as long (Downey, Sethi & Tarjan, JACM 1980).
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from .errors import Budget
-from .formulas import FALSE, And, FFalse, FTrue, Let, Or, _nnf, expand_lets, let_env, mk_and, nnf
+from .formulas import FALSE, TRUE, And, FFalse, FTrue, Implies, Let, Or, _nnf, expand_lets, let_env, mk_and, nnf
 from .terms import Eq, Ne, Term, term_substitute
 
-# bench/tracing.py wraps these two names in this module; the search reads
-# its query through `_nnf` and calls neither.
+# bench/tracing.py wraps these two names in this module; the oracle reads
+# its queries through `_read` and `_nnf` and calls neither.
 expand_lets, nnf = expand_lets, nnf
 
 
@@ -235,326 +215,294 @@ def cc_sat(literals) -> bool:
     return all(state.assume(lit) for lit in literals)
 
 
-class _Bits(dict):  # key -> its own bit, the next free one given at first lookup
-    def __missing__(self, atom):
-        bit = self[atom] = 1 << len(self)
-        return bit
-
-
-def _find_sat_cube(hyp, concl, budget: Budget):
+def _reference_search(hyp, concl, budget: Budget):
     """A cc-satisfiable cube of hyp and the negation of concl, or None.
 
-    Both may hold lets and connectives in either polarity; `formulas._nnf`
-    reads them once, when the search starts, checking the deadline at each
-    let, into And and Or nodes over literals, the negation of concl among
-    them. Literal-branching search: atoms are absorbed into the cube with a
-    closure check each time, pending disjunctions, each one clause of part
-    bits and masks, are decided against the assignment's masks, lone
-    survivors propagate in unit rounds, and branching takes one part of the
-    shortest pending disjunction at a time, learning its complement when a
-    branch fails or when the closure already refutes it. One closure serves
-    the whole search; its literals are the cube. A failed branch undoes it,
-    and the masks, to where they stood before it.
+    `formulas._nnf` reads the query once. Each literal under an And is
+    assumed, then the first Or that no Eq part held by the closure
+    satisfies is split on, part by part, the closure undone between parts.
     """
     stats = {"cubes_spent": 0}
+    check = functools.partial(budget.check_time, stats)
     closure = CongruenceState()
-    bits = _Bits()
-    eqs = nes = 0  # the bits of the atoms assigned an Eq, and a Ne
+    parent, find = closure.parent, closure.find
 
-    def assume(lit) -> bool:
-        """False when lit is refuted or closes the cube; an undecided lit joins it, spending a cube."""
-        nonlocal eqs, nes
-        if lit.lhs is lit.rhs:
-            return lit.__class__ is Eq
-        bit = bits[lit.atom]
-        if bit & eqs:
-            return lit.__class__ is Eq
-        if bit & nes:
-            return lit.__class__ is Ne
-        if lit.__class__ is Eq:
-            eqs |= bit
-        else:
-            nes |= bit
-        budget.count(stats, "cubes_spent")
-        budget.check_time(stats)
-        return closure.assume(lit)
-
-    def clause(parts):
-        """parts filed as (parts, their bits, Eq mask, Ne mask, the bits met
-        twice), or None: a clause with a = a always holds.
-
-        An And part's bit is keyed by -id(part), which no atom (a pair key,
-        at least 0) is, and sits in the Eq mask, where no literal assigns
-        it; a != a gets bit 0, so it is never live.
-        """
-        pbits, em, nm, rep = [], 0, 0, 0
-        for p in parts:
-            kind = p.__class__
-            if kind is Eq or kind is Ne:
-                if p.lhs is not p.rhs:
-                    bit = bits[p.atom]
-                elif kind is Eq:
-                    return None
-                else:
-                    bit = 0
-            else:
-                bit = bits[-id(p)]
-            rep |= bit & (em | nm)
-            if kind is Ne:
-                nm |= bit
-            else:
-                em |= bit
-            pbits.append(bit)
-        return parts, pbits, em, nm, rep
-
-    def absorb(obligations, ors) -> bool:
-        """Assume the literals under obligations, last first, and file their
-        disjunctions in ors; False on a conflict."""
-        while obligations:
-            g = obligations.pop()
+    def search(todo, ors):
+        while todo:
+            g = todo.pop()
             kind = g.__class__
             if kind is And:
-                obligations.extend(g.parts)
+                todo.extend(reversed(g.parts))
             elif kind is Or:
-                g = clause(g.parts)
-                if g is not None:
-                    ors.append(g)
-            elif kind is Eq or kind is Ne:
-                if not assume(g):
-                    return False
+                ors.append(g)
             elif kind is FFalse:
-                return False
+                return None
             elif kind is not FTrue:
-                raise TypeError(f"unexpected node in NNF search: {g!r}")
-        return True
-
-    def search(ors):
-        nonlocal eqs, nes
-        while True:
-            units, pending = [], []
-            free = ~(eqs | nes)
-            for g in ors:
-                parts, pbits, em, nm, rep = g
-                if em & eqs or nm & nes:
-                    continue
-                live = (em | nm) & free
-                if not live:
+                budget.count(stats, "cubes_spent")
+                check()
+                if not closure.assume(g):
                     return None
-                if live & (live - 1) or live & rep:
-                    pending.append(g)
-                else:
-                    units.append(parts[pbits.index(live)])
-            if not units:
+        for k, g in enumerate(ors):
+            if not any(p.__class__ is Eq and p.lhs.id in parent and p.rhs.id in parent
+                       and find(p.lhs.id) == find(p.rhs.id) for p in g.parts):
                 break
-            # The scan order is part of the pinned search order: clauses
-            # carried over come last first, ahead of those the units bring,
-            # and a branch's own clauses come ahead of the carried ones.
-            pending.reverse()
-            if not absorb(units, pending):
-                return None
-            ors = pending
-
-        if not pending:
+        else:
             return list(closure.lits)
-
-        def width(g) -> int:  # its live parts: one per live bit, unless an atom repeats
-            live = (g[2] | g[3]) & free
-            return sum(1 for bit in g[1] if bit & live) if live & g[4] else live.bit_count()
-
-        pending.sort(key=width)
-        (parts, pbits, *_), rest = pending[0], pending[:0:-1]
-        parent, find = closure.parent, closure.find
-        for p in [p for p, bit in zip(parts, pbits) if bit & free]:
-            kind = p.__class__
-            if (
-                kind is Ne and p.lhs.id in parent and p.rhs.id in parent
-                and find(p.lhs.id) == find(p.rhs.id)
-            ):
-                # The branch would fail: learn its complement at once. That Eq
-                # makes no union, and had its atom been decided Ne, the closure
-                # would be broken already, so it cannot fail.
-                assume(p.neg)
-                continue
-            mark, masks = len(closure.trail), (eqs, nes)
-            branch = []
-            if absorb([p], branch):
-                res = search(branch + rest)
-                if res is not None:
-                    return res
+        for p in g.parts:
+            mark = len(closure.trail)
+            cube = search([p], ors[k + 1:])
+            if cube is not None:
+                return cube
             closure.undo(mark)
-            eqs, nes = masks
-            if (kind is Eq or kind is Ne) and not assume(p.neg):
-                return None
         return None
 
-    def check():
-        budget.check_time(stats)
-
-    ors = []
-    query = mk_and([_nnf(hyp, True, {}, {}, check), _nnf(concl, False, {}, {}, check)])
-    return search(ors) if absorb([query], ors) else None
+    return search([mk_and([_nnf(hyp, True, {}, {}, check), _nnf(concl, False, {}, {}, check)])], [])
 
 
-def _conjunction(f, check):
-    """The non-trivial literals of f, in order and with its lets substituted,
-    when f is a conjunction of literals under lets; FALSE when f is false
-    on its face (a part is FALSE or a != a); None for any other shape."""
-    env = memo = None
-    while f.__class__ is Let:
+def _read(f, env, memo, ante, out, check) -> bool:
+    """Append f, read as a conjunction of items ante ⇒ goal, to out as
+    (ante, goal, env), lets substituted; False for any other shape. ante is
+    a tuple of literals, goal a literal, FALSE or an Or read under env ({}
+    for the others). Items true on their face and a = a in ante are left out."""
+    kind = f.__class__
+    if kind is Eq or kind is Ne:
+        if env:
+            lhs, rhs = term_substitute(f.lhs, env, memo), term_substitute(f.rhs, env, memo)
+            if lhs is not f.lhs or rhs is not f.rhs:
+                f = kind(lhs, rhs)
+        if f.lhs is f.rhs:
+            if kind is Eq:
+                return True
+            f = FALSE
+    elif kind is And:
+        return all(_read(p, env, memo, ante, out, check) for p in f.parts)
+    elif kind is Implies:
+        lhs = _cube(f.lhs, env, check)
+        return lhs is FALSE or lhs is not None and _read(f.rhs, env, memo, (*ante, *lhs), out, check)
+    elif kind is Let:
         check()
-        env, memo, f = let_env(env or {}, f.bindings), {}, f.body
-    out = []
-    for p in f.parts if f.__class__ is And else (f,):
-        kind = p.__class__
-        if kind is Eq or kind is Ne:
-            if env:
-                lhs, rhs = term_substitute(p.lhs, env, memo), term_substitute(p.rhs, env, memo)
-                if lhs is not p.lhs or rhs is not p.rhs:
-                    p = kind(lhs, rhs)
-            if p.lhs is not p.rhs:
-                out.append(p)
-            elif kind is Ne:
-                return FALSE
-        elif kind is FFalse:
-            return FALSE
-        elif kind is not FTrue:
-            return None
-    return out
+        return _read(f.body, let_env(env, f.bindings), {}, ante, out, check)
+    elif kind is FFalse:
+        f = FALSE
+    elif kind is not Or:
+        return kind is FTrue
+    out.append((ante, f, env if kind is Or else {}))
+    return True
 
 
-_NOT_WALKED = object()
+def _cube(f, env, check):
+    """f's literals if it is a conjunction of them under env; FALSE, or None."""
+    items = []
+    if not _read(f, env, {}, (), items, check) or any(a or g.__class__ is Or for a, g, _ in items):
+        return None
+    return FALSE if any(g is FALSE for _, g, _ in items) else [g for _, g, _ in items]
+
+
 _ROW_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _walk_disjuncts(hyp, concl, budget: Budget):
-    """A cc-satisfiable cube of hyp that falsifies every disjunct of concl,
-    or None; _NOT_WALKED unless hyp and every disjunct are conjunctions of
-    literals under lets.
-
-    Case split over the disjuncts themselves: the lowest disjunct still
-    alive is walked to its first undecided literal, which is decided true,
-    then, once that branch fails, false, killing the disjunct. A literal
-    whose sides the closure holds in one class is decided by that, without
-    an assume. A walked disjunct whose every literal holds refutes the
-    branch; no disjunct alive leaves the closure's literals as the cube.
-    The branches taken are kept on a stack of frames, not in recursion.
-    """
-    stats = {"cubes_spent": 0}
-
-    def check():
-        budget.check_time(stats)
-
-    hyp_lits = _conjunction(hyp, check)
-    if hyp_lits is None:
-        return _NOT_WALKED
-    if hyp_lits is FALSE:
-        return None
-    # One pass over the parts: each literal's row holds one byte per
-    # disjunct, 1 where the disjunct holds the literal.
-    n = len(concl.parts)
+def _disjuncts(parts, env, check):
+    """The walk's reading of a disjunction under env: the disjuncts' literals,
+    kill masks and the disjuncts alive; TRUE when one holds on its face,
+    None when one is no conjunction of literals. kills[atom << 1 | (cls is
+    Ne)] masks the disjuncts that assigning cls to atom falsifies."""
+    n = len(parts)
     rows, cubes, dropped = {}, [], 0
-    for i, d in enumerate(concl.parts):
-        lits = d.parts if d.__class__ is And else (d,)
+    for i, d in enumerate(parts):
+        lits = _cube(d, env, check) if env else d.parts if d.__class__ is And else (d,)
         while True:
+            if lits is None:
+                return None
+            if lits is FALSE:
+                dropped, lits = dropped | 1 << i, ()
             for p in lits:
                 if p.__class__ is not Eq and p.__class__ is not Ne:
                     break
                 row = rows.get(p)
                 if row is None:
+                    if p.lhs is p.rhs:
+                        break
                     row = rows[p] = bytearray(n)
                 row[i] = 1
             else:
                 break
-            # Lets, TRUE or FALSE: read again with the lets substituted.
-            lits = _conjunction(d, check)
-            if lits is None:
-                return _NOT_WALKED
-            if lits is FALSE:
-                dropped |= 1 << i
-                lits = ()
+            lits = _cube(d, env, check)  # TRUE, FALSE, a = a or a let
         cubes.append(lits)
-
-    value = {}  # atom -> the class of the literal the search holds on it
-    # kills[atom << 1 | (cls is Ne)]: the disjuncts that assigning cls to
-    # atom falsifies, those holding a literal of the other class on it.
-    # Keyed by atom, so b != a kills a disjunct holding a = b. a = a always
-    # holds, and a disjunct holding a != a never does.
     kills, held = {}, 0
     for p, row in rows.items():
         mask = int(row.translate(_ROW_BITS)[::-1], 2)
-        if p.lhs is not p.rhs:
-            key = p.atom << 1 | (p.__class__ is Eq)
-            kills[key] = kills.get(key, 0) | mask
-            held |= mask
-        elif p.__class__ is Ne:
-            dropped |= mask
-        else:
-            value[p.atom] = Eq
+        key = p.atom << 1 | (p.__class__ is Eq)
+        kills[key] = kills.get(key, 0) | mask
+        held |= mask
     if ~(held | dropped) & ((1 << n) - 1):
-        return None  # a disjunct with no literal other than a = a holds
-    alive = held & ~dropped
+        return TRUE
+    return cubes, kills, held & ~dropped
 
+
+def _query(hyp, concl, check):
+    """The query as `_walk_disjuncts` takes it, FALSE when hyp is false on
+    its face, or None. hyp gives literals, Horn clauses (antecedent Eqs, goal
+    Eq or FALSE, a Ne goal moved to the antecedent) and its one Or's cubes;
+    concl gives conjuncts (antecedent, goal read by `_disjuncts`)."""
+    items = []
+    if not _read(hyp, {}, {}, (), items, check):
+        return None
+    lits, clauses, alternatives = [], [], None
+    for ante, g, env in items:
+        if g.__class__ is Or and not ante and alternatives is None:
+            alternatives = [_cube(p, env, check) for p in g.parts]
+        elif g.__class__ is Or or any(a.__class__ is Ne for a in ante):
+            return None
+        elif ante:
+            clauses.append(((*ante, g.neg), FALSE) if g.__class__ is Ne else (ante, g))
+        elif g is FALSE:
+            return FALSE
+        else:
+            lits.append(g)
+    if alternatives is not None and None in alternatives:
+        return None
+    items, conjuncts = [], []
+    if not _read(concl, {}, {}, (), items, check):
+        return None
+    for ante, g, env in items:
+        goal = _disjuncts(g.parts if g.__class__ is Or else () if g is FALSE else (g,), env, check)
+        if goal is None:
+            return None
+        if goal is not TRUE:
+            conjuncts.append((ante, goal))
+    alternatives = [()] if alternatives is None else [a for a in alternatives if a is not FALSE]
+    return (lits, clauses, alternatives), conjuncts
+
+
+def _walk_disjuncts(cubes, conjuncts, budget: Budget, stats: dict):
+    """A cc-satisfiable cube of a hypothesis cube that falsifies a
+    conclusion conjunct, or None.
+
+    One closure serves the query: each cube is assumed, keeping the prefix
+    it shares with the one before, then each conjunct's antecedent under a
+    mark. After each union every Horn clause whose antecedent sides share a
+    class fires, until none is left; a fired FALSE or a broken closure fails
+    the branch. The least congruence that satisfies the fired clauses
+    falsifies every unfired antecedent, so it is a model of the cube.
+
+    A goal's lowest disjunct alive is walked to its first undecided literal,
+    decided true, then, once that fails, false, killing the disjunct; one the
+    closure holds needs no assume. A disjunct whose every literal holds
+    refutes the branch; none alive leaves the closure's literals as the cube.
+    """
+    lits, clauses, alternatives = cubes
     closure = CongruenceState()
     parent, find = closure.parent, closure.find
+    value = {}  # atom -> the class of the literal the search holds on it
     assigned = []  # the atoms in value, in the order they were assigned
 
-    def decide(lit) -> bool:
+    def assume(lit) -> bool:
         budget.count(stats, "cubes_spent")
         budget.check_time(stats)
-        value[lit.atom] = lit.__class__
-        assigned.append(lit.atom)
         return closure.assume(lit)
 
-    for lit in hyp_lits:
+    def decide(lit) -> bool:
         cls = value.get(lit.atom)
-        if cls is None:
-            if not decide(lit):
-                return None
-            alive &= ~kills.get(lit.atom << 1 | (lit.__class__ is Ne), 0)
-        elif cls is not lit.__class__:
-            return None
+        if cls is not None:
+            return cls is lit.__class__
+        value[lit.atom] = lit.__class__
+        assigned.append(lit.atom)
+        unions = closure.unions
+        return assume(lit) and (closure.unions == unions or propagate())
 
-    # One frame per branch taken on a literal and not yet failed: the
-    # closure and assignment marks before it, the literal, alive and the
-    # walked disjunct as they stood then. Its complement kills the disjunct.
-    frames = []
-    i = j = 0
-    while True:
-        while alive:
-            if not alive >> i & 1:
-                i, j = (alive & -alive).bit_length() - 1, 0
-            # Every literal of an alive disjunct whose atom is assigned holds.
-            lits = cubes[i]
-            end = len(lits)
-            while j < end and lits[j].atom in value:
-                j += 1
-            if j == end:
-                break
-            lit = lits[j]
-            atom, lhs, rhs = lit.atom, lit.lhs.id, lit.rhs.id
-            if lhs in parent and rhs in parent and find(lhs) == find(rhs):
-                value[atom] = Eq
-                assigned.append(atom)
-                alive &= ~kills.get(atom << 1, 0)
-                continue
-            frames.append((len(closure.trail), len(assigned), lit, alive, i))
+    def propagate() -> bool:
+        fired = True
+        while fired:
+            fired = False
+            for ante, goal in clauses:
+                if goal is not FALSE and find(goal.lhs.id) == find(goal.rhs.id):
+                    continue
+                if all(find(a.lhs.id) == find(a.rhs.id) for a in ante):
+                    if goal is FALSE or not assume(goal):
+                        return False
+                    fired = True
+        return True
+
+    def undo(mark, amark):
+        closure.undo(mark)
+        for atom in assigned[amark:]:
+            del value[atom]
+        del assigned[amark:]
+
+    def walk(cubes, kills, alive):
+        for key, mask in kills.items():
+            cls = value.get(key >> 1)
+            if cls is not None and (cls is Ne) == key & 1:
+                alive &= ~mask
+        # One frame per branch taken and not yet failed: the marks before it,
+        # its literal, alive and the walked disjunct; the complement kills it.
+        frames = []
+        i = j = 0
+        while True:
+            while alive:
+                if not alive >> i & 1:
+                    i, j = (alive & -alive).bit_length() - 1, 0
+                # Every literal of an alive disjunct whose atom is assigned holds.
+                lits = cubes[i]
+                end = len(lits)
+                while j < end and lits[j].atom in value:
+                    j += 1
+                if j == end:
+                    break
+                lit = lits[j]
+                atom, lhs, rhs = lit.atom, lit.lhs.id, lit.rhs.id
+                if lhs in parent and rhs in parent and find(lhs) == find(rhs):
+                    value[atom] = Eq
+                    assigned.append(atom)
+                    alive &= ~kills.get(atom << 1, 0)
+                    continue
+                frames.append((len(closure.trail), len(assigned), lit, alive, i))
+                if not decide(lit):
+                    break
+                alive &= ~kills.get(atom << 1 | (lit.__class__ is Ne), 0)
+            else:
+                return list(closure.lits)
+            while True:
+                if not frames:
+                    return None
+                mark, amark, lit, alive, i = frames.pop()
+                undo(mark, amark)
+                lit = lit.neg
+                if decide(lit):
+                    alive &= ~kills.get(lit.atom << 1 | (lit.__class__ is Ne), 0)
+                    break
+
+    for ante, goal in clauses:
+        for lit in ante if goal is FALSE else (*ante, goal):
+            closure.add(lit.lhs)
+            closure.add(lit.rhs)
+    if not all(map(decide, lits)):
+        return None
+    # marks[p]: the marks before the p-th literal of the cube in hand, and
+    # after its last. The tableaux's cubes, sorted, share long prefixes.
+    marks, prev = [], ()
+    for lits in alternatives:
+        p = 0
+        while p < len(marks) - 1 and p < len(lits) and lits[p] is prev[p]:
+            p += 1
+        if marks:
+            undo(*marks[p])
+            del marks[p:]
+        prev = lits
+        for lit in lits[p:]:
+            marks.append((len(closure.trail), len(assigned)))
             if not decide(lit):
                 break
-            alive &= ~kills.get(atom << 1 | (lit.__class__ is Ne), 0)
         else:
-            return list(closure.lits)
-        while True:
-            if not frames:
-                return None
-            mark, amark, lit, alive, i = frames.pop()
-            closure.undo(mark)
-            for atom in assigned[amark:]:
-                del value[atom]
-            del assigned[amark:]
-            lit = lit.neg
-            if decide(lit):
-                alive &= ~kills.get(lit.atom << 1 | (lit.__class__ is Ne), 0)
-                break
+            marks.append((len(closure.trail), len(assigned)))
+            for ante, goal in conjuncts:
+                mark, amark = len(closure.trail), len(assigned)
+                cube = walk(*goal) if all(map(decide, ante)) else None
+                if cube is not None:
+                    return cube
+                if len(assigned) > amark:  # else the closure is as it was
+                    undo(mark, amark)
+    return None
 
 
 def euf_valid(hyp, concl, budget: Budget = Budget()):
@@ -562,14 +510,15 @@ def euf_valid(hyp, concl, budget: Budget = Budget()):
 
     Both formulas are quantifier-free; any variables are read as fresh
     constants. Raises ResourceLimitError when the cube cap or deadline passes.
-    A hypothesis that is a conjunction of literals and a conclusion that is
-    an Or of such conjunctions, lets allowed in each, is decided by
-    `_walk_disjuncts`; every other query by `_find_sat_cube`.
     """
-    budget.check_time({"cubes_spent": 0})
-    cube = _walk_disjuncts(hyp, concl, budget) if concl.__class__ is Or else _NOT_WALKED
-    if cube is _NOT_WALKED:
-        cube = _find_sat_cube(hyp, concl, budget)
+    stats = {"cubes_spent": 0}
+    check = functools.partial(budget.check_time, stats)
+    check()
+    query = _query(hyp, concl, check)
+    if query is None:
+        cube = _reference_search(hyp, concl, budget)
+    else:
+        cube = None if query is FALSE or not query[1] else _walk_disjuncts(*query, budget, stats)
     return cube is None, cube
 
 

@@ -1,8 +1,11 @@
-"""Shared helpers: tiny signature factory, randomized instance builders, a
-fake clock for the run budget and a recorder of the oracle's cubes."""
+"""Shared helpers: tiny signature factory, randomized instance builders, the
+bench's workloads, a fake clock for the run budget and a recorder of the
+oracle's cubes."""
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,19 @@ from eufui import errors, euf
 from eufui.euf import euf_equiv
 from eufui.parse import Problem, parse, parse_formula
 from eufui.terms import Eq, Ne, const, intern, mk_symbol
+
+
+# The bench corpus's reference seed; bench/workloads.py generates its texts.
+BENCH_CORPUS_SEED = 20260823
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file: bench/ is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture
@@ -32,7 +48,9 @@ def counting_clock(monkeypatch):
 def assumed_cubes(monkeypatch):
     """The oracle closure's assume, recorded: one entry per call, the cube after it.
 
-    The cube search spends one cube per call; cc_sat makes one per literal.
+    Each call spends one cube of euf_valid's cap, whether the walk decides a
+    literal, assumes an antecedent or fires a Horn clause, or the reference
+    search assumes a literal; cc_sat makes one call per literal.
     """
     cubes = []
     original = euf.CongruenceState.assume

@@ -2,14 +2,21 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import random
 import time
 from pathlib import Path
 
 import pytest
-from conftest import assert_equiv, brute_force_sat, doubling_chain, iter_partitions, random_problem
+from conftest import (
+    BENCH_CORPUS_SEED,
+    assert_equiv,
+    bench_workloads,
+    brute_force_sat,
+    doubling_chain,
+    iter_partitions,
+    random_problem,
+)
 from test_conditional import (
     THREE_CHAIN,
     THREE_CHAIN_TARGETS,
@@ -265,16 +272,12 @@ def test_criterion_12_compression(tmp_path, capsys):
 # them, with both engines' results.
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCH_CORPUS_SEED = 20260823
 
 
 @pytest.fixture(scope="module")
 def bench_corpus():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     rows = []
-    for text in workloads.corpus(BENCH_CORPUS_SEED):
+    for text in bench_workloads().corpus(BENCH_CORPUS_SEED):
         problem = parse(text)
         pre = flatten(problem)
         rows.append((problem, compute_tableaux_ui(pre), compute_conditional_ui(pre)))

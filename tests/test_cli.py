@@ -11,14 +11,20 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from conftest import assert_equiv, doubling_chain, linear_chain, shared_evar_text
+from conftest import BENCH_CORPUS_SEED, assert_equiv, bench_workloads, doubling_chain, linear_chain, shared_evar_text
 from test_conditional import THREE_CHAIN, chain_gadget
 from test_preprocess import EX16, EX22, EX39
 from test_tableaux import EX22_CLOSED, EX22_CLOSED_TARGET, EX22_TARGET, EX39_TARGET
 
-from eufui import cli, errors
+from eufui import cli, errors, euf
+from eufui.conditional import compute_conditional_ui
+from eufui.euf import cc_sat, euf_equiv
+from eufui.formulas import And, mk_and
+from eufui.parse import parse, parse_formula
+from eufui.terms import Eq, const
 
 DEMO_INPUTS = sorted((Path(__file__).resolve().parent.parent / "demos" / "inputs").glob("*.smt"))
 CONDITIONAL_STATS = {"cdags_visited", "clauses_created", "num_cdags", "s2_size", "s3_size"}
@@ -118,6 +124,35 @@ def test_equivalence_failure_exits_1(tmp_path, capsys, monkeypatch, direction):
     )
     assert code == 1
     assert out.startswith(f"verification-failed {direction} ")
+
+
+@pytest.mark.parametrize("verify", ["residue", "equivalence"])
+def test_strengthened_result_fails_verification(verify, capsys, monkeypatch):
+    # The conditional result, strengthened by z1 = z2, which the input does
+    # not entail: the residue check, or tab => cond, must fail with a
+    # witness that is cc-satisfiable and contradicts z1 = z2.
+    seen = {}
+
+    def parse_and_keep(data):
+        seen["problem"] = parse(data)
+        return seen["problem"]
+
+    def strengthened(pre, budget):
+        ui = compute_conditional_ui(pre, budget=budget)
+        symbols = seen["problem"].symbols
+        seen["goal"] = Eq(const(symbols["z1"]), const(symbols["z2"]))
+        formula = mk_and([ui.formula(), seen["goal"]])
+        return SimpleNamespace(formula=lambda unravel=False: formula, stats=ui.stats)
+
+    monkeypatch.setattr(cli, "parse", parse_and_keep)
+    monkeypatch.setattr(cli, "compute_conditional_ui", strengthened)
+    code, out, _ = run_cli(capsys, ["--algorithm", "both", "--verify", verify, demo("nested_shared.smt")])
+    assert code == 1
+    head, direction, text = out.split(" ", 2)
+    assert (head, direction) == ("verification-failed", "residue" if verify == "residue" else "forward")
+    cube = parse_formula(text, seen["problem"].symbols)
+    lits = list(cube.parts) if isinstance(cube, And) else [cube]
+    assert cc_sat(lits) and not cc_sat([*lits, seen["goal"]])
 
 
 # Exit 2: unreadable, unparseable, or inconsistent invocations.
@@ -312,6 +347,26 @@ def test_cube_cap_exits_3(capsys):
     assert counters == {"cubes_spent": 3}
 
 
+def test_cube_cap_trips_inside_horn_propagation(tmp_path, capsys, monkeypatch):
+    # With the equivalence check run backward first, cond => tab for
+    # shared-evar k = 4 decides a literal, fires a clause, and so on: its
+    # 10th assume fires a clause, so a cap of 9 trips inside propagation.
+    callers = []
+    count = errors.Budget.count
+
+    def recording(self, stats, key):
+        callers.append(sys._getframe(2).f_code.co_name)
+        count(self, stats, key)
+
+    monkeypatch.setattr(errors.Budget, "count", recording)
+    monkeypatch.setattr(cli, "euf_equiv", lambda a, b, budget: euf_equiv(b, a, budget))
+    path = write(tmp_path, shared_evar_text(4))
+    code, out, err = run_cli(capsys, ["--max-cubes", "9", "--algorithm", "both", "--verify", "equivalence", path])
+    assert code == 3 and out == ""
+    assert err == 'resource limit: cube budget exceeded in EUF validity check {"cubes_spent": 10}\n'
+    assert callers[-1] == "propagate"
+
+
 def test_timeout_exits_3(tmp_path, capsys):
     path = write(tmp_path, EX16)
     for algo in ("tableaux", "conditional"):
@@ -419,19 +474,21 @@ def test_timeout_bounds_printing(tmp_path, capsys):
 
 WALL_CLOCK_CASES = {
     # Uncapped, each run takes 0.6-5.5 s on a 2-core x86-64 host; the counters show the phase
-    # the deadline stopped: the tableaux, step 2 (s3 not yet set) and the oracle.
-    "tableaux": (shared_evar_text(9), ["--algorithm", "tableaux"]),
-    "step2": (chain_gadget(6)[0], ["--algorithm", "conditional"]),
-    "oracle": (shared_evar_text(7), ["--algorithm", "both", "--verify", "equivalence"]),
+    # the deadline stopped: the tableaux, step 2 (s3 not yet set) and the oracle. The oracle
+    # decides k = 7 in about 0.1 s, so its case is k = 8, whose engines take 0.08-0.15 s, and
+    # its deadline falls after them.
+    "tableaux": (shared_evar_text(9), ["--algorithm", "tableaux"], 100),
+    "step2": (chain_gadget(6)[0], ["--algorithm", "conditional"], 100),
+    "oracle": (shared_evar_text(8), ["--algorithm", "both", "--verify", "equivalence"], 250),
 }
 
 
 @pytest.mark.parametrize("phase", sorted(WALL_CLOCK_CASES))
 def test_timeout_bounds_each_engine_phase(phase, tmp_path, capsys):
-    text, flags = WALL_CLOCK_CASES[phase]
+    text, flags, timeout_ms = WALL_CLOCK_CASES[phase]
     path = write(tmp_path, text)
     started = time.monotonic()
-    code, out, err = run_cli(capsys, [*flags, "--timeout-ms", "100", path])
+    code, out, err = run_cli(capsys, [*flags, "--timeout-ms", str(timeout_ms), path])
     assert time.monotonic() - started < 0.4
     assert code == 3
     assert out == ""
@@ -501,12 +558,31 @@ def test_demo_input_engines_agree(path, capsys):
 
 @pytest.mark.parametrize(
     "name, calls",
-    [("sixteen_branches.smt", 397), ("nested_shared.smt", 13), ("three_chains.smt", 183)],
+    [("sixteen_branches.smt", 1033), ("nested_shared.smt", 15), ("three_chains.smt", 70)],
 )
 def test_equivalence_check_cubes_spent(name, calls, capsys, assumed_cubes):
     code, _, _ = run_cli(capsys, ["--algorithm", "both", "--verify", "equivalence", demo(name)])
     assert code == 0
     assert len(assumed_cubes) == calls
+
+
+def test_no_cli_query_reaches_the_reference_search(tmp_path, capsys, monkeypatch):
+    # Every query the CLI asks has a shape the walk decides: the bench
+    # corpus under its flags, and the demos and shared-evar k = 5..7 under
+    # both checks.
+    def refuse(*_):
+        raise AssertionError("the reference search ran")
+
+    monkeypatch.setattr(euf, "_reference_search", refuse)
+    workloads = bench_workloads()
+    runs = [(text, workloads.CORPUS_ARGS) for text in workloads.corpus(BENCH_CORPUS_SEED)]
+    for verify in ("residue", "equivalence"):
+        flags = ["--algorithm", "both", "--verify", verify]
+        runs += [(path.read_text(), flags) for path in DEMO_INPUTS]
+        runs += [(shared_evar_text(k), flags) for k in (5, 6, 7)]
+    for text, flags in runs:
+        code, _, err = run_cli(capsys, [*flags, write(tmp_path, text)])
+        assert code == 0, err
 
 
 # Stats channel: fixed key set, sorted JSON, no timing in machine output.
