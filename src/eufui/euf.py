@@ -10,16 +10,18 @@ Queries of the shapes the engines produce go to `_walk_disjuncts`. The
 hypothesis becomes cubes: literals and ground Horn clauses `A ⇒ g` common
 to all, and the literals each part of its one Or adds. The conclusion
 becomes conjuncts `A ⇒ goal`, each goal a literal, FALSE or an Or of
-cubes. For each cube and conjunct, A is assumed and the goal's disjuncts
-are split on by their own literals (DPLL(T): Nieuwenhuis, Oliveras &
-Tinelli, JACM 2006); after each union the Horn clauses whose antecedents
-hold fire, with no case split (Gallier, JSC 1987). Other queries go to
-`_reference_search`, a plain case split.
+cubes. For each cube and conjunct, A's literals the closure does not
+hold are assumed and the goal's disjuncts are split on by their own
+literals (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006); after
+each union the Horn clauses whose antecedents hold fire, with no case
+split (Gallier, JSC 1987). Other queries go to `_reference_search`, a
+plain case split.
 
-Every change the closure makes goes on its trail, and a failed branch
-undoes the trail to the mark taken before it. A union puts the root with
-the shorter use list under the other, so an application only ever moves
-to a use list at least twice as long (Downey, Sethi & Tarjan, JACM 1980).
+Every id maps straight to its class's root. A union relabels the class
+with fewer members to the other root and moves its use list, so an id is
+only ever relabelled into a class at least twice as large. Every change
+the closure makes goes on its trail, the walk's decided atoms too, and a
+failed branch undoes the trail to the mark taken before it.
 """
 from __future__ import annotations
 
@@ -36,60 +38,55 @@ expand_lets, nnf = expand_lets, nnf
 
 
 # Trail entry kinds; each entry records one change for `undo` to revert.
-_NODE, _SIG, _UNION, _LINK, _LIT = range(5)
+_NODE, _SIG, _UNION, _LIT, _VAL = range(5)
 _LIT_ENTRY = (_LIT,)
 
 
 class CongruenceState:
-    """Backtrackable union-find over term ids with signatures and use lists.
+    """Backtrackable congruence closure: `root` maps each term id to its
+    class's root, `members` each root to the ids of its class, and `use`
+    each root to the applications with an argument in its class; no use
+    list is ever left empty.
 
-    Every change is logged on `trail`, and `undo(mark)` reverts to the state
-    the closure had when the trail held `mark` entries. `assume` drains the
-    pending merges before it returns, so no mark ever has merges pending.
-    `lits` are the literals assumed, in order, and `diseqs` the id pairs of
-    the disequalities among them. `broken` is the length `lits` had after
-    the assume that broke a disequality, or 0 while none is broken.
+    Every change, and each atom `decide` records in `value`, is logged on
+    `trail`; `undo(mark)` reverts to the state the closure had when the
+    trail held `mark` entries. `assume` drains the pending merges before it
+    returns, so no mark ever has merges pending. `lits` are the literals
+    assumed, in order, and `diseqs` the id pairs of the disequalities among
+    them. `broken` is the length `lits` had after the assume that broke a
+    disequality, or 0 while none is broken.
     """
 
     def __init__(self):
-        self.parent: dict[int, int] = {}
+        self.root: dict[int, int] = {}
+        self.members: dict[int, list[int]] = {}
         self.use: dict[int, list[Term]] = {}
         self.sig: dict[tuple, int] = {}
         self.pending: deque[tuple[int, int]] = deque()
         self.lits: list = []
         self.diseqs: list[tuple[int, int]] = []
+        self.value: dict = {}
         self.trail: list[tuple] = []
         self.unions = 0  # unions made so far; undo leaves it, assume compares it
         self.broken = 0
 
-    def find(self, i: int) -> int:
-        # Path compression is logged: an unlogged link would outlive the undo
-        # of the union it jumps over.
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            self.trail.append((_LINK, i, parent[i]))
-            parent[i], i = root, parent[i]
-        return root
-
     def add(self, t: Term) -> None:
         """Enter t and its subterms, arguments first, on an explicit stack."""
-        parent, use, sig, trail = self.parent, self.use, self.sig, self.trail
+        root, use, sig, trail = self.root, self.use, self.sig, self.trail
         stack = [t]
         while stack:
             u = stack[-1]
-            if u.id in parent:
+            if u.id in root:
                 stack.pop()
                 continue
-            missing = [a for a in u.args if a.id not in parent]
+            missing = [a for a in u.args if a.id not in root]
             if missing:
                 stack.extend(missing)
                 continue
             stack.pop()
-            parent[u.id] = u.id
-            reps = tuple(self.find(a.id) for a in u.args)
+            root[u.id] = u.id
+            self.members[u.id] = [u.id]
+            reps = tuple(root[a.id] for a in u.args)
             key = None
             if reps:
                 key = (u.head.uid, reps)
@@ -106,33 +103,45 @@ class CongruenceState:
 
     def close(self) -> None:
         """Drain pending merges until congruence-closed; idempotent."""
-        parent, use, sig, trail, find = self.parent, self.use, self.sig, self.trail, self.find
+        root, members, use, sig, trail = self.root, self.members, self.use, self.sig, self.trail
         while self.pending:
             i, j = self.pending.popleft()
-            ri, rj = find(i), find(j)
+            ri, rj = root[i], root[j]
             if ri == rj:
                 continue
-            if len(use.get(ri, ())) > len(use.get(rj, ())):
+            if len(members[ri]) > len(members[rj]):
                 ri, rj = rj, ri
-            parent[ri] = rj
+            moved = members.pop(ri)
+            for k in moved:
+                root[k] = rj
+            members[rj].extend(moved)
             self.unions += 1
-            moved = use.pop(ri, None)
-            trail.append((_UNION, ri, rj, moved))
-            if not moved:
+            apps = use.pop(ri, None)
+            trail.append((_UNION, ri, rj, moved, apps))
+            if not apps:
                 continue
-            # rj's use list is at least as long, so it exists.
-            use[rj].extend(moved)
+            use.setdefault(rj, []).extend(apps)
             # Re-canonicalize signatures of applications that mention ri. Their
             # stale keys stay in sig: they hold ri, which is not a root again
             # unless this union is undone.
-            for app in moved:
-                key = (app.head.uid, tuple(find(a.id) for a in app.args))
+            for app in apps:
+                key = (app.head.uid, tuple(root[a.id] for a in app.args))
                 other = sig.get(key)
                 if other is None:
                     sig[key] = app.id
                     trail.append((_SIG, key))
-                elif find(other) != find(app.id):
+                elif root[other] != root[app.id]:
                     self.pending.append((app.id, other))
+
+    def held(self, lit) -> bool:
+        """lit's sides are in the closure and in one class."""
+        r = self.root.get(lit.lhs.id)
+        return r is not None and r == self.root.get(lit.rhs.id)
+
+    def decide(self, atom, cls) -> None:
+        """Record cls as the search's value of atom, undone with the trail."""
+        self.value[atom] = cls
+        self.trail.append((_VAL, atom))
 
     def assume(self, lit) -> bool:
         """Add lit to the closure; False once a recorded disequality breaks.
@@ -141,59 +150,54 @@ class CongruenceState:
         that makes none checks just its own. A broken state stays broken
         until `undo` goes past the assume that broke it.
         """
-        lhs, rhs = lit.lhs, lit.rhs
-        if lhs.id not in self.parent:
-            self.add(lhs)
-        if rhs.id not in self.parent:
-            self.add(rhs)
+        root, lhs, rhs = self.root, lit.lhs.id, lit.rhs.id
+        if lhs not in root:
+            self.add(lit.lhs)
+        if rhs not in root:
+            self.add(lit.rhs)
         self.lits.append(lit)
         self.trail.append(_LIT_ENTRY)
         unions = self.unions
         if lit.__class__ is Ne:
-            self.diseqs.append((lhs.id, rhs.id))
+            self.diseqs.append((lhs, rhs))
         else:
-            self.pending.append((lhs.id, rhs.id))
+            self.pending.append((lhs, rhs))
         # A new application can queue a congruence merge too.
         if self.pending:
             self.close()
         if not self.broken:
-            find = self.find
             if self.unions != unions:
-                # A side at most one link below its root is read in place;
-                # a longer path goes through `find`, which compresses it.
-                parent = self.parent
-                for i, j in self.diseqs:
-                    ri, rj = parent[i], parent[j]
-                    if parent[ri] != ri:
-                        ri = find(i)
-                    if parent[rj] != rj:
-                        rj = find(j)
-                    if ri == rj:
-                        self.broken = len(self.lits)
-                        break
-            elif lit.__class__ is Ne and find(lhs.id) == find(rhs.id):
+                if any(root[i] == root[j] for i, j in self.diseqs):
+                    self.broken = len(self.lits)
+            elif lit.__class__ is Ne and root[lhs] == root[rhs]:
                 self.broken = len(self.lits)
         return not self.broken
 
     def undo(self, mark: int) -> None:
         """Revert every change logged since the trail held mark entries."""
-        parent, use, sig, trail = self.parent, self.use, self.sig, self.trail
+        root, members, use, sig, trail = self.root, self.members, self.use, self.sig, self.trail
         while len(trail) > mark:
             entry = trail.pop()
             kind = entry[0]
-            if kind == _SIG:
+            if kind == _VAL:
+                del self.value[entry[1]]
+            elif kind == _SIG:
                 del sig[entry[1]]
             elif kind == _UNION:
-                _, ri, rj, moved = entry
-                parent[ri] = ri
-                if moved:
-                    del use[rj][-len(moved):]
-                    use[ri] = moved
-            elif kind == _LINK:
-                parent[entry[1]] = entry[2]
+                _, ri, rj, moved, apps = entry
+                del members[rj][-len(moved):]
+                members[ri] = moved
+                for k in moved:
+                    root[k] = ri
+                if apps:  # use[rj] goes if this union made it
+                    kept = use[rj]
+                    del kept[-len(apps):]
+                    if not kept:
+                        del use[rj]
+                    use[ri] = apps
             elif kind == _NODE:
                 _, i, key, reps = entry
-                del parent[i]
+                del root[i], members[i]
                 if key is not None:
                     del sig[key]
                 # No use list is ever empty, so one emptied here was made for i.
@@ -225,7 +229,6 @@ def _reference_search(hyp, concl, budget: Budget):
     stats = {"cubes_spent": 0}
     check = functools.partial(budget.check_time, stats)
     closure = CongruenceState()
-    parent, find = closure.parent, closure.find
 
     def search(todo, ors):
         while todo:
@@ -243,8 +246,7 @@ def _reference_search(hyp, concl, budget: Budget):
                 if not closure.assume(g):
                     return None
         for k, g in enumerate(ors):
-            if not any(p.__class__ is Eq and p.lhs.id in parent and p.rhs.id in parent
-                       and find(p.lhs.id) == find(p.rhs.id) for p in g.parts):
+            if not any(p.__class__ is Eq and closure.held(p) for p in g.parts):
                 break
         else:
             return list(closure.lits)
@@ -386,15 +388,15 @@ def _walk_disjuncts(cubes, conjuncts, budget: Budget, stats: dict):
     falsifies every unfired antecedent, so it is a model of the cube.
 
     A goal's lowest disjunct alive is walked to its first undecided literal,
-    decided true, then, once that fails, false, killing the disjunct; one the
-    closure holds needs no assume. A disjunct whose every literal holds
-    refutes the branch; none alive leaves the closure's literals as the cube.
+    decided true, then, once that fails, false, killing the disjunct. An
+    antecedent or walked literal the closure holds needs no assume. A
+    disjunct whose every literal holds refutes the branch; none alive leaves
+    the closure's literals as the cube. A mark undoes the closure and the
+    decided atoms together.
     """
     lits, clauses, alternatives = cubes
     closure = CongruenceState()
-    parent, find = closure.parent, closure.find
-    value = {}  # atom -> the class of the literal the search holds on it
-    assigned = []  # the atoms in value, in the order they were assigned
+    root, value, trail = closure.root, closure.value, closure.trail
 
     def assume(lit) -> bool:
         budget.count(stats, "cubes_spent")
@@ -405,36 +407,35 @@ def _walk_disjuncts(cubes, conjuncts, budget: Budget, stats: dict):
         cls = value.get(lit.atom)
         if cls is not None:
             return cls is lit.__class__
-        value[lit.atom] = lit.__class__
-        assigned.append(lit.atom)
+        closure.decide(lit.atom, lit.__class__)
         unions = closure.unions
         return assume(lit) and (closure.unions == unions or propagate())
+
+    def antecedent(lit) -> bool:
+        if lit.atom not in value and closure.held(lit):
+            closure.decide(lit.atom, Eq)
+            return lit.__class__ is Eq
+        return decide(lit)
 
     def propagate() -> bool:
         fired = True
         while fired:
             fired = False
             for ante, goal in clauses:
-                if goal is not FALSE and find(goal.lhs.id) == find(goal.rhs.id):
+                if goal is not FALSE and root[goal.lhs.id] == root[goal.rhs.id]:
                     continue
-                if all(find(a.lhs.id) == find(a.rhs.id) for a in ante):
+                if all(root[a.lhs.id] == root[a.rhs.id] for a in ante):
                     if goal is FALSE or not assume(goal):
                         return False
                     fired = True
         return True
-
-    def undo(mark, amark):
-        closure.undo(mark)
-        for atom in assigned[amark:]:
-            del value[atom]
-        del assigned[amark:]
 
     def walk(cubes, kills, alive):
         for key, mask in kills.items():
             cls = value.get(key >> 1)
             if cls is not None and (cls is Ne) == key & 1:
                 alive &= ~mask
-        # One frame per branch taken and not yet failed: the marks before it,
+        # One frame per branch taken and not yet failed: the mark before it,
         # its literal, alive and the walked disjunct; the complement kills it.
         frames = []
         i = j = 0
@@ -442,7 +443,7 @@ def _walk_disjuncts(cubes, conjuncts, budget: Budget, stats: dict):
             while alive:
                 if not alive >> i & 1:
                     i, j = (alive & -alive).bit_length() - 1, 0
-                # Every literal of an alive disjunct whose atom is assigned holds.
+                # Every literal of an alive disjunct whose atom is decided holds.
                 lits = cubes[i]
                 end = len(lits)
                 while j < end and lits[j].atom in value:
@@ -450,13 +451,12 @@ def _walk_disjuncts(cubes, conjuncts, budget: Budget, stats: dict):
                 if j == end:
                     break
                 lit = lits[j]
-                atom, lhs, rhs = lit.atom, lit.lhs.id, lit.rhs.id
-                if lhs in parent and rhs in parent and find(lhs) == find(rhs):
-                    value[atom] = Eq
-                    assigned.append(atom)
+                atom = lit.atom
+                if closure.held(lit):
+                    closure.decide(atom, Eq)
                     alive &= ~kills.get(atom << 1, 0)
                     continue
-                frames.append((len(closure.trail), len(assigned), lit, alive, i))
+                frames.append((len(trail), lit, alive, i))
                 if not decide(lit):
                     break
                 alive &= ~kills.get(atom << 1 | (lit.__class__ is Ne), 0)
@@ -465,8 +465,8 @@ def _walk_disjuncts(cubes, conjuncts, budget: Budget, stats: dict):
             while True:
                 if not frames:
                     return None
-                mark, amark, lit, alive, i = frames.pop()
-                undo(mark, amark)
+                mark, lit, alive, i = frames.pop()
+                closure.undo(mark)
                 lit = lit.neg
                 if decide(lit):
                     alive &= ~kills.get(lit.atom << 1 | (lit.__class__ is Ne), 0)
@@ -478,7 +478,7 @@ def _walk_disjuncts(cubes, conjuncts, budget: Budget, stats: dict):
             closure.add(lit.rhs)
     if not all(map(decide, lits)):
         return None
-    # marks[p]: the marks before the p-th literal of the cube in hand, and
+    # marks[p]: the mark before the p-th literal of the cube in hand, and
     # after its last. The tableaux's cubes, sorted, share long prefixes.
     marks, prev = [], ()
     for lits in alternatives:
@@ -486,22 +486,21 @@ def _walk_disjuncts(cubes, conjuncts, budget: Budget, stats: dict):
         while p < len(marks) - 1 and p < len(lits) and lits[p] is prev[p]:
             p += 1
         if marks:
-            undo(*marks[p])
+            closure.undo(marks[p])
             del marks[p:]
         prev = lits
         for lit in lits[p:]:
-            marks.append((len(closure.trail), len(assigned)))
+            marks.append(len(trail))
             if not decide(lit):
                 break
         else:
-            marks.append((len(closure.trail), len(assigned)))
+            marks.append(len(trail))
             for ante, goal in conjuncts:
-                mark, amark = len(closure.trail), len(assigned)
-                cube = walk(*goal) if all(map(decide, ante)) else None
+                mark = len(trail)
+                cube = walk(*goal) if all(map(antecedent, ante)) else None
                 if cube is not None:
                     return cube
-                if len(assigned) > amark:  # else the closure is as it was
-                    undo(mark, amark)
+                closure.undo(mark)
     return None
 
 

@@ -50,7 +50,8 @@ def assumed_cubes(monkeypatch):
 
     Each call spends one cube of euf_valid's cap, whether the walk decides a
     literal, assumes an antecedent or fires a Horn clause, or the reference
-    search assumes a literal; cc_sat makes one call per literal.
+    search assumes a literal; cc_sat makes one call per literal. A walked
+    or antecedent literal the closure already holds makes no call.
     """
     cubes = []
     original = euf.CongruenceState.assume

@@ -1,6 +1,7 @@
 """Exit codes, output shape, and stats emission of the command-line driver."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -558,7 +559,7 @@ def test_demo_input_engines_agree(path, capsys):
 
 @pytest.mark.parametrize(
     "name, calls",
-    [("sixteen_branches.smt", 1033), ("nested_shared.smt", 15), ("three_chains.smt", 70)],
+    [("sixteen_branches.smt", 722), ("nested_shared.smt", 15), ("three_chains.smt", 68)],
 )
 def test_equivalence_check_cubes_spent(name, calls, capsys, assumed_cubes):
     code, _, _ = run_cli(capsys, ["--algorithm", "both", "--verify", "equivalence", demo(name)])
@@ -569,7 +570,9 @@ def test_equivalence_check_cubes_spent(name, calls, capsys, assumed_cubes):
 def test_no_cli_query_reaches_the_reference_search(tmp_path, capsys, monkeypatch):
     # Every query the CLI asks has a shape the walk decides: the bench
     # corpus under its flags, and the demos and shared-evar k = 5..7 under
-    # both checks.
+    # both checks. The exit codes and stdout of the 218 runs, in run order,
+    # hash to a pinned digest; stderr is left out, as it carries elapsed_ms.
+    # A change that means to alter the output re-pins the digest.
     def refuse(*_):
         raise AssertionError("the reference search ran")
 
@@ -580,9 +583,12 @@ def test_no_cli_query_reaches_the_reference_search(tmp_path, capsys, monkeypatch
         flags = ["--algorithm", "both", "--verify", verify]
         runs += [(path.read_text(), flags) for path in DEMO_INPUTS]
         runs += [(shared_evar_text(k), flags) for k in (5, 6, 7)]
+    digest = hashlib.sha256()
     for text, flags in runs:
-        code, _, err = run_cli(capsys, [*flags, write(tmp_path, text)])
+        code, out, err = run_cli(capsys, [*flags, write(tmp_path, text)])
         assert code == 0, err
+        digest.update(json.dumps([code, out]).encode())
+    assert (len(runs), digest.hexdigest()) == (218, "94b1f62b3f510b24ed3c4aa37fc44beee8d1f21981eafa1e1b3e1f73845de8c8")
 
 
 # Stats channel: fixed key set, sorted JSON, no timing in machine output.

@@ -58,12 +58,12 @@ def test_cc_close_idempotent():
     st_ = CongruenceState()
     assert st_.assume(Eq(intern(f, (a,)), b))
     assert st_.assume(Eq(a, c))
-    snapshot = {i: st_.find(i) for i in list(st_.parent)}
+    snapshot = dict(st_.root)
     st_.close()
-    assert snapshot == {i: st_.find(i) for i in list(st_.parent)}
+    assert snapshot == st_.root
     st_.add(intern(f, (c,)))
     st_.close()
-    assert st_.find(intern(f, (c,)).id) == st_.find(b.id)
+    assert st_.root[intern(f, (c,)).id] == st_.root[b.id]
 
 
 def test_cc_matches_brute_force_seeded():
@@ -97,14 +97,27 @@ def test_cc_matches_brute_force_hypothesis(seed):
 def closure_snapshot(state):
     """Copies of everything undo must restore."""
     use = {r: list(apps) for r, apps in state.use.items()}
-    return dict(state.parent), use, dict(state.sig), list(state.diseqs), list(state.lits)
+    members = {r: list(ids) for r, ids in state.members.items()}
+    return (dict(state.root), members, use, dict(state.sig), list(state.diseqs), list(state.lits),
+            dict(state.value))
+
+
+def assert_roots_partition(state):
+    # Each id's root is a root whose members hold the id, and the members
+    # lists partition the ids; no use list is empty.
+    root, members = state.root, state.members
+    assert all(root[r] == r for r in members)
+    assert all(i in members[root[i]] for i in root)
+    assert sorted(i for ids in members.values() for i in ids) == sorted(root)
+    assert all(state.use.values())
 
 
 def test_closure_undo_restores_marked_state_seeded():
-    # Random runs of assume, mark and undo: the verdict always matches cc_sat
-    # of the literals still assumed, and an undo restores the marked state.
+    # Random runs of assume, decide, mark and undo: the verdict always
+    # matches cc_sat of the literals still assumed, and an undo restores the
+    # marked state, the decided atoms included.
     rng = random.Random(20261019)
-    undos = 0
+    undos = decided = 0
     for _ in range(150):
         _, _, lits = random_flat_instance(
             rng, nconsts=rng.randint(2, 6), nfuns=rng.randint(1, 2), nlits=rng.randint(4, 12)
@@ -113,10 +126,15 @@ def test_closure_undo_restores_marked_state_seeded():
         marks = [(0, closure_snapshot(state))]
         for _ in range(40):
             step = rng.random()
-            if step < 0.6:
+            if step < 0.5:
                 lit = rng.choice(lits)
                 assert state.assume(lit) == cc_sat(state.lits)
                 assert not state.pending
+            elif step < 0.6:
+                lit = rng.choice(lits)
+                if lit.atom not in state.value:
+                    state.decide(lit.atom, lit.__class__)
+                    decided += 1
             elif step < 0.8:
                 marks.append((len(state.trail), closure_snapshot(state)))
             else:
@@ -127,9 +145,10 @@ def test_closure_undo_restores_marked_state_seeded():
                 undos += 1
                 assert len(state.trail) == mark
                 assert closure_snapshot(state) == snapshot
-                find = state.find
-                assert all(find(i) != find(j) for i, j in state.diseqs) == cc_sat(state.lits)
-    assert undos > 1000
+                root = state.root
+                assert all(root[i] != root[j] for i, j in state.diseqs) == cc_sat(state.lits)
+            assert_roots_partition(state)
+    assert undos > 1000 and decided > 300
 
 
 def test_closure_stays_broken_until_undone():
@@ -341,7 +360,7 @@ def test_shared_evar_residue_past_bench_size(assumed_cubes):
     assert len(assumed_cubes) == 2 * 4139 + 8 == 8286
 
 
-@pytest.mark.parametrize("k, spent", [(5, (342, 153)), (6, (1850, 606))])
+@pytest.mark.parametrize("k, spent", [(5, (301, 153)), (6, (1614, 606))])
 def test_shared_evar_equivalence_cubes_spent(k, spent, assumed_cubes):
     # The CLI's equivalence check, per direction: tab => cond, where each of
     # the 52 or 203 cubes of the DNF keeps the prefix it shares with the one
@@ -803,6 +822,18 @@ def test_walk_checks_the_caps_at_each_assume_and_let(counting_clock):
     assert exc.value.stats == {"cubes_spent": 4}
 
 
+def test_walk_spends_no_assume_on_a_held_antecedent(assumed_cubes):
+    # a = b and b = c hold a and c in one class, so the antecedent a != c
+    # fails its conjunct and a = c holds, neither with an assume. x = y is
+    # then decided true, which refutes the branch, and false.
+    s = Sig()
+    a, b, c, x, y = s.params("a", "b", "c", "x", "y")
+    hyp = And((Eq(a, b), Eq(b, c)))
+    concl = And((Implies(Ne(a, c), Eq(x, y)), Implies(Eq(a, c), Eq(x, y))))
+    assert euf_valid(hyp, concl) == (False, [Eq(a, b), Eq(b, c), Ne(x, y)])
+    assert [len(c) for c in assumed_cubes] == [1, 2, 3, 3]
+
+
 def test_walk_takes_long_disjuncts_without_recursion(assumed_cubes):
     # The chain c0 = c1 = ... = c1500 in the hypothesis holds every literal
     # c0 = c_i of the first disjunct in one class, so the walk decides all
@@ -832,10 +863,10 @@ def test_reference_search_undoes_a_disequality_the_closure_refutes(assumed_cubes
     assert euf_valid(hyp, FALSE) == (False, cube)
 
 
-def test_closure_rescan_compresses_paths():
+def test_closure_rescan_reads_each_root_once():
     # Each link of the chain is a union, and each union rescans all 29
-    # disequalities. Without path compression the walk from each of c0 to
-    # c27 to its root grows by one step per link.
+    # disequalities. The chain's class relabels only the one constant each
+    # link adds, and a rescan reads each side's root in one lookup.
     s = Sig()
     chain = s.params(*(f"c{i}" for i in range(4001)))
     apart = s.params(*(f"d{i}" for i in range(28)))
