@@ -7,14 +7,11 @@ definitions, the same shape as `pre.initial_delta`; lets are the compressed
 (DAG-shaped) output form. expand_lets substitutes them away in one pass,
 which can grow the formula exponentially (that blow-up is the point of
 keeping them). nnf substitutes them in the same pass as it pushes
-negations down, and hands back every node it leaves unchanged as the same
-object: literals are interned, so a let-free positive conjunction or
-disjunction of literals is never copied.
+negations down.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
 
 from .terms import Eq, Ne, Symbol, Term, term_substitute, term_symbols
 
@@ -63,10 +60,9 @@ class Let:
 Formula = object
 
 
-def _mk_nary(kind, unit, zero, parts, original=None) -> Formula:
+def _mk_nary(kind, unit, zero, parts) -> Formula:
     """kind over parts: unit parts dropped, a zero part absorbing, same-kind
-    parts flattened one level, duplicates kept at their first position.
-    original comes back itself when the parts are its parts, unchanged."""
+    parts flattened one level, duplicates kept at their first position."""
     out = []
     for p in parts:
         if p is unit:
@@ -81,8 +77,6 @@ def _mk_nary(kind, unit, zero, parts, original=None) -> Formula:
         out = list(dict.fromkeys(out))
     if len(out) < 2:
         return out[0] if out else unit
-    if original is not None and len(out) == len(original.parts) and all(map(is_, out, original.parts)):
-        return original
     return kind(tuple(out))
 
 
@@ -166,10 +160,7 @@ def _nnf(f: Formula, positive: bool, env: dict[Symbol, Term], memo: dict, check)
         return f if positive else f.neg
     if kind is And or kind is Or:
         parts = [_nnf(p, positive, env, memo, check) for p in f.parts]
-        original = f if positive else None
-        if (kind is And) is positive:
-            return _mk_nary(And, TRUE, FALSE, parts, original)
-        return _mk_nary(Or, FALSE, TRUE, parts, original)
+        return mk_and(parts) if (kind is And) is positive else mk_or(parts)
     if kind is Implies:
         lhs, rhs = _nnf(f.lhs, not positive, env, memo, check), _nnf(f.rhs, positive, env, memo, check)
         return mk_or([lhs, rhs]) if positive else mk_and([lhs, rhs])

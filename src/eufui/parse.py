@@ -8,14 +8,16 @@ Output formulas use and/or/=>/not/=/let plus true/false and are
 re-parseable with parse_formula, which substitutes lets away and reads a
 negation into negation normal form.
 
-The reader is one pass of one regex: each match is a parenthesis, an atom,
-a line break or a `;` comment, and blanks (space, tab, CR) fall between
-matches. Error positions are 1-based line:column, counting characters.
+The reader is one pass of one regex: each match is a parenthesis, an atom
+or a `;` comment, and blanks (space, tab, CR, line break) fall between
+matches. Nodes keep their matches; only a raised error counts its 1-based
+line:column position, in characters, back from the match offset.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import InputError
 from .formulas import (
@@ -54,44 +56,47 @@ class Problem:
 # --- s-expression reader ---------------------------------------------------
 
 
-@dataclass
-class SExpr:
-    value: object  # str atom or list of SExpr
-    line: int
-    col: int
+class _Group(list):
+    """A parenthesised node: its children, and the match of its `(` as `open`."""
+    __slots__ = ("open",)
 
 
-# Blanks (space, tab, CR) match nothing, so finditer steps over them.
-_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|\n|;[^\n]*")
+# An atom node is its own match, `m[0]` its text. Blanks (space, tab, CR, LF) match nothing.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
 
-def read_sexprs(text: str) -> list[SExpr]:
+def _where(node) -> tuple[int, int]:
+    """1-based line and column of node, counted back from its match offset."""
+    m = node.open if isinstance(node, list) else node
+    text, at = m.string, m.start()
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+def read_sexprs(text: str) -> list:
     """All top-level s-expressions; raises InputError on malformed input."""
-    out: list[SExpr] = []
-    stack: list[SExpr] = []
-    line, line_start = 1, 0
+    top, stack = [], []  # the list being filled, and the lists that hold an open group
     for m in _TOKEN.finditer(text):
-        tok, col = m.group(), m.start() - line_start + 1
-        if tok == "\n":
-            line, line_start = line + 1, m.end()
+        tok = m[0]
+        if tok == "(":
+            stack.append(top)
+            top = _Group()
+            top.open = m
+            stack[-1].append(top)
         elif tok == ")":
             if not stack:
-                raise InputError("unmatched closing parenthesis", line, col)
-            stack.pop()
+                raise InputError("unmatched closing parenthesis", *_where(m))
+            top = stack.pop()
         elif tok[0] != ";":
-            node = SExpr([] if tok == "(" else tok, line, col)
-            (stack[-1].value if stack else out).append(node)
-            if tok == "(":
-                stack.append(node)
+            top.append(m)
     if stack:
-        raise InputError("unclosed parenthesis", stack[-1].line, stack[-1].col)
-    return out
+        raise InputError("unclosed parenthesis", *_where(top))
+    return top
 
 
-def _atom(node: SExpr, what: str) -> str:
-    if not isinstance(node.value, str):
-        raise InputError(f"expected {what}", node.line, node.col)
-    return node.value
+def _atom(node, what: str) -> str:
+    if isinstance(node, list):
+        raise InputError(f"expected {what}", *_where(node))
+    return node[0]
 
 
 # --- problem parsing -------------------------------------------------------
@@ -109,66 +114,66 @@ def parse(text) -> Problem:
     symbols: dict[str, Symbol] = {}
     functions: list[Symbol] = []
     consts: list[Symbol] = []
-    eliminate_names: list[tuple[str, SExpr]] | None = None
-    assertions: list[SExpr] = []
+    eliminate_names: list[tuple[str, re.Match]] | None = None
+    assertions: list = []
     done = False
 
-    def declare(name: str, node: SExpr, sym: Symbol):
+    def declare(name: str, node: list, sym: Symbol):
         if name in symbols or (sort is not None and name == sort):
-            raise InputError(f"duplicate declaration of {name}", node.line, node.col)
+            raise InputError(f"duplicate declaration of {name}", *_where(node))
         symbols[name] = sym
 
     for node in nodes:
         if done:
-            raise InputError("command after (compute-ui)", node.line, node.col)
-        if not isinstance(node.value, list) or not node.value:
-            raise InputError("expected a command", node.line, node.col)
-        head = _atom(node.value[0], "a command name")
-        rest = node.value[1:]
+            raise InputError("command after (compute-ui)", *_where(node))
+        if not isinstance(node, list) or not node:
+            raise InputError("expected a command", *_where(node))
+        head = _atom(node[0], "a command name")
+        rest = node[1:]
         if head == "declare-sort":
             if len(rest) != 2:
-                raise InputError("declare-sort takes a name and 0", node.line, node.col)
+                raise InputError("declare-sort takes a name and 0", *_where(node))
             name = _atom(rest[0], "a sort name")
             if _atom(rest[1], "sort arity") != "0":
-                raise InputError("only arity-0 sorts are supported", rest[1].line, rest[1].col)
+                raise InputError("only arity-0 sorts are supported", *_where(rest[1]))
             if sort is not None:
-                raise InputError(f"duplicate declaration of sort {name}", node.line, node.col)
+                raise InputError(f"duplicate declaration of sort {name}", *_where(node))
             sort = name
         elif head == "declare-fun":
-            if len(rest) != 3 or not isinstance(rest[1].value, list):
-                raise InputError("declare-fun takes name, argument sorts, result sort", node.line, node.col)
+            if len(rest) != 3 or not isinstance(rest[1], list):
+                raise InputError("declare-fun takes name, argument sorts, result sort", *_where(node))
             name = _atom(rest[0], "a function name")
-            for sub in rest[1].value + [rest[2]]:
+            for sub in rest[1] + [rest[2]]:
                 sname = _atom(sub, "a sort name")
                 if sname != sort:
-                    raise InputError(f"undeclared sort {sname}", sub.line, sub.col)
-            sym = mk_symbol(name, len(rest[1].value), "function")
+                    raise InputError(f"undeclared sort {sname}", *_where(sub))
+            sym = mk_symbol(name, len(rest[1]), "function")
             declare(name, node, sym)
             functions.append(sym)
         elif head == "declare-const":
             if len(rest) != 2:
-                raise InputError("declare-const takes a name and a sort", node.line, node.col)
+                raise InputError("declare-const takes a name and a sort", *_where(node))
             name = _atom(rest[0], "a constant name")
             sname = _atom(rest[1], "a sort name")
             if sname != sort:
-                raise InputError(f"undeclared sort {sname}", rest[1].line, rest[1].col)
+                raise InputError(f"undeclared sort {sname}", *_where(rest[1]))
             sym = mk_symbol(name, 0, "parameter")
             declare(name, node, sym)
             consts.append(sym)
         elif head == "eliminate":
             if eliminate_names is not None:
-                raise InputError("duplicate eliminate clause", node.line, node.col)
+                raise InputError("duplicate eliminate clause", *_where(node))
             eliminate_names = [(_atom(sub, "a constant name"), sub) for sub in rest]
         elif head == "assert":
             if len(rest) != 1:
-                raise InputError("assert takes one literal", node.line, node.col)
+                raise InputError("assert takes one literal", *_where(node))
             assertions.append(rest[0])
         elif head == "compute-ui":
             if rest:
-                raise InputError("compute-ui takes no arguments", node.line, node.col)
+                raise InputError("compute-ui takes no arguments", *_where(node))
             done = True
         else:
-            raise InputError(f"unknown command {head}", node.line, node.col)
+            raise InputError(f"unknown command {head}", *_where(node))
 
     if eliminate_names is None:
         raise InputError("missing eliminate clause")
@@ -178,11 +183,11 @@ def parse(text) -> Problem:
     for name, node in eliminate_names:
         sym = symbols.get(name)
         if sym is None:
-            raise InputError(f"undeclared symbol {name}", node.line, node.col)
+            raise InputError(f"undeclared symbol {name}", *_where(node))
         if sym.kind == "quantified":  # re-kinded by an earlier entry
-            raise InputError(f"duplicate eliminate entry {name}", node.line, node.col)
+            raise InputError(f"duplicate eliminate entry {name}", *_where(node))
         if sym.kind != "parameter":
-            raise InputError(f"{name} cannot be eliminated", node.line, node.col)
+            raise InputError(f"{name} cannot be eliminated", *_where(node))
         q = mk_symbol(name, 0, "quantified")
         symbols[name] = q
         eliminate.append(q)
@@ -193,7 +198,7 @@ def parse(text) -> Problem:
     return Problem(sort or "U", functions, parameters, eliminate, body, symbols)
 
 
-def _parse_term(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term] | None = None) -> Term:
+def _parse_term(node, symbols: dict[str, Symbol], env: dict[str, Term] | None = None) -> Term:
     """The term node spells; an atom is an application to no arguments.
 
     A name bound in env stands for its term. Only problem terms (no env)
@@ -203,20 +208,20 @@ def _parse_term(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term] | 
     """
     stack = []  # (node, symbol, argument nodes, arguments read) per open application
     while True:
-        if env and isinstance(node.value, str) and node.value in env:
-            term = env[node.value]
+        if env and not isinstance(node, list) and node[0] in env:
+            term = env[node[0]]
         else:
-            if isinstance(node.value, str):
+            if not isinstance(node, list):
                 head, subs = node, []
-            elif not node.value:
-                raise InputError("empty term", node.line, node.col)
+            elif not node:
+                raise InputError("empty term", *_where(node))
             elif env is None and len(stack) == MAX_TERM_DEPTH:
-                raise InputError(f"term nested deeper than {MAX_TERM_DEPTH}", node.line, node.col)
+                raise InputError(f"term nested deeper than {MAX_TERM_DEPTH}", *_where(node))
             else:
-                head, subs = node.value[0], node.value[1:]
+                head, subs = node[0], node[1:]
             sym = symbols.get(_atom(head, "a function name"))
             if sym is None:
-                raise InputError(f"undeclared symbol {head.value}", head.line, head.col)
+                raise InputError(f"undeclared symbol {head[0]}", *_where(head))
             stack.append((node, sym, subs, []))
             term = None
         while stack:
@@ -228,9 +233,7 @@ def _parse_term(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term] | 
             stack.pop()
             if sym.arity != len(args):
                 raise InputError(
-                    f"arity mismatch: {sym.name} expects {sym.arity} arguments, got {len(args)}",
-                    app.line,
-                    app.col,
+                    f"arity mismatch: {sym.name} expects {sym.arity} arguments, got {len(args)}", *_where(app)
                 )
             term = intern(sym, args)
         else:
@@ -238,33 +241,29 @@ def _parse_term(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term] | 
         node = subs[len(args)]
 
 
-def _parse_literal(node: SExpr, symbols: dict[str, Symbol]):
-    if not isinstance(node.value, list) or not node.value:
-        raise InputError("non-literal assertion", node.line, node.col)
-    head = _atom(node.value[0], "a literal head")
-    rest = node.value[1:]
+def _parse_literal(node, symbols: dict[str, Symbol]):
+    if not isinstance(node, list) or not node:
+        raise InputError("non-literal assertion", *_where(node))
+    head = _atom(node[0], "a literal head")
+    rest = node[1:]
     if head == "=":
         if len(rest) != 2:
-            raise InputError("= takes two terms", node.line, node.col)
+            raise InputError("= takes two terms", *_where(node))
         return [Eq(_parse_term(rest[0], symbols), _parse_term(rest[1], symbols))]
     if head == "not":
-        if len(rest) != 1 or not isinstance(rest[0].value, list):
-            raise InputError("non-literal assertion", node.line, node.col)
+        if len(rest) != 1 or not isinstance(rest[0], list):
+            raise InputError("non-literal assertion", *_where(node))
         inner = rest[0]
-        ihead = _atom(inner.value[0], "a literal head") if inner.value else ""
-        if ihead != "=" or len(inner.value) != 3:
-            raise InputError("non-literal assertion", node.line, node.col)
-        return [Ne(_parse_term(inner.value[1], symbols), _parse_term(inner.value[2], symbols))]
+        ihead = _atom(inner[0], "a literal head") if inner else ""
+        if ihead != "=" or len(inner) != 3:
+            raise InputError("non-literal assertion", *_where(node))
+        return [Ne(_parse_term(inner[1], symbols), _parse_term(inner[2], symbols))]
     if head == "distinct":
         if len(rest) < 2:
-            raise InputError("distinct takes at least two terms", node.line, node.col)
+            raise InputError("distinct takes at least two terms", *_where(node))
         ts = [_parse_term(sub, symbols) for sub in rest]
-        out = []
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                out.append(Ne(ts[i], ts[j]))
-        return out
-    raise InputError("non-literal assertion", node.line, node.col)
+        return [Ne(s, t) for s, t in combinations(ts, 2)]
+    raise InputError("non-literal assertion", *_where(node))
 
 
 # --- formula parsing (reads printed interpolants back) ---------------------
@@ -279,33 +278,33 @@ def parse_formula(text: str, symbols: dict[str, Symbol]):
     return _parse_formula(nodes[0], symbols, {})
 
 
-def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term], depth: int = 1):
+def _parse_formula(node, symbols: dict[str, Symbol], env: dict[str, Term], depth: int = 1):
     if depth > MAX_FORMULA_DEPTH:
-        raise InputError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", node.line, node.col)
+        raise InputError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", *_where(node))
     # A let body is read in this loop, not by recursion: the printer nests
     # one let per definition.
     while True:
-        if isinstance(node.value, str):
-            if node.value == "true":
+        if not isinstance(node, list):
+            if node[0] == "true":
                 return TRUE
-            if node.value == "false":
+            if node[0] == "false":
                 return FALSE
-            raise InputError(f"expected a formula, got {node.value}", node.line, node.col)
-        if not node.value:
-            raise InputError("empty formula", node.line, node.col)
-        head = _atom(node.value[0], "a connective")
-        rest = node.value[1:]
+            raise InputError(f"expected a formula, got {node[0]}", *_where(node))
+        if not node:
+            raise InputError("empty formula", *_where(node))
+        head = _atom(node[0], "a connective")
+        rest = node[1:]
         if head != "let":
             break
-        if len(rest) != 2 or not isinstance(rest[0].value, list):
-            raise InputError("let takes bindings and a body", node.line, node.col)
+        if len(rest) != 2 or not isinstance(rest[0], list):
+            raise InputError("let takes bindings and a body", *_where(node))
         new_env = dict(env)
-        for binding in rest[0].value:
-            if not isinstance(binding.value, list) or len(binding.value) != 2:
-                raise InputError("malformed let binding", binding.line, binding.col)
-            name = _atom(binding.value[0], "a bound name")
+        for binding in rest[0]:
+            if not isinstance(binding, list) or len(binding) != 2:
+                raise InputError("malformed let binding", *_where(binding))
+            name = _atom(binding[0], "a bound name")
             # bindings are evaluated in the outer environment, SMT-LIB style
-            new_env[name] = _parse_term(binding.value[1], symbols, env)
+            new_env[name] = _parse_term(binding[1], symbols, env)
         node, env = rest[1], new_env
     if head == "and" or head == "or":
         # A part under the same connective is read on this stack, not by
@@ -315,18 +314,18 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
             sub = next(stack[-1], None)
             if sub is None:
                 stack.pop()
-            elif isinstance(sub.value, list) and sub.value and sub.value[0].value == head:
-                stack.append(iter(sub.value[1:]))
+            elif isinstance(sub, list) and sub and not isinstance(sub[0], list) and sub[0][0] == head:
+                stack.append(iter(sub[1:]))
             else:
                 parts.append(_parse_formula(sub, symbols, env, depth + 1))
         return (mk_and if head == "and" else mk_or)(parts)
     if head == "not":
         if len(rest) != 1:
-            raise InputError("not takes one formula", node.line, node.col)
+            raise InputError("not takes one formula", *_where(node))
         return nnf(_parse_formula(rest[0], symbols, env, depth + 1), False)
     if head == "=>":
         if len(rest) < 2:
-            raise InputError("=> takes at least two formulas", node.line, node.col)
+            raise InputError("=> takes at least two formulas", *_where(node))
         parts = [_parse_formula(sub, symbols, env, depth + 1) for sub in rest]
         out = parts[-1]
         for p in reversed(parts[:-1]):
@@ -334,9 +333,9 @@ def _parse_formula(node: SExpr, symbols: dict[str, Symbol], env: dict[str, Term]
         return out
     if head == "=":
         if len(rest) != 2:
-            raise InputError("= takes two terms", node.line, node.col)
+            raise InputError("= takes two terms", *_where(node))
         return mk_eq(_parse_term(rest[0], symbols, env), _parse_term(rest[1], symbols, env))
-    raise InputError(f"unknown connective {head}", node.line, node.col)
+    raise InputError(f"unknown connective {head}", *_where(node))
 
 
 # --- printing --------------------------------------------------------------

@@ -182,6 +182,7 @@ HEADER = "(declare-sort U 0)(declare-fun f (U) U)(declare-const a U)(declare-con
     (HEADER + "(eliminate x)", "1:89: undeclared symbol x"),
     (HEADER + "(eliminate f)", "1:89: f cannot be eliminated"),
     ("(declare-sort U 0)(declare-const e U)(eliminate e e)", "1:51: duplicate eliminate entry e"),
+    ("(declare-sort U 0)(declare-const e U)(eliminate e)\n  (eliminate e)\n", "2:3: duplicate eliminate clause"),
     (HEADER + "(eliminate e)(assert a)", "1:99: non-literal assertion"),
     (HEADER + "(eliminate e)(assert (not a))", "1:99: non-literal assertion"),
     (HEADER + "(eliminate e)(assert (not (f a)))", "1:99: non-literal assertion"),
@@ -729,12 +730,18 @@ def test_exit_contract_holds_on_mutated_inputs(tmp_path, capsys):
     codes = Counter()
     for base in bases:
         for _ in range(7):
-            path.write_text(mutate(rng, base, rng.randint(1, 3)))
+            lines = mutate(rng, base, rng.randint(1, 3)).split("\n")
+            path.write_text("\n".join(lines))
             for flags in FUZZ_FLAG_SETS:
-                code, out, _ = run_cli(capsys, flags + [str(path)])
+                code, out, err = run_cli(capsys, flags + [str(path)])
                 assert code in (0, 1, 2, 3)
                 assert code != 1 or out.startswith("verification-failed")
                 assert code not in (2, 3) or out == ""
                 codes[code] += 1
-    # Both the accepted and the rejected side of the parser are reached.
-    assert codes[0] and codes[2], codes
+                # A position points into the mutant: at most one column past its line's end.
+                if code == 2 and (at := re.match(r"error: (\d+):(\d+): ", err)):
+                    line, col = int(at[1]), int(at[2])
+                    assert line <= len(lines) and col <= len(lines[line - 1]) + 1, err
+                    codes["positioned"] += 1
+    # Both the accepted and the rejected side of the parser are reached, and positions checked.
+    assert codes[0] and codes[2] and codes["positioned"], codes

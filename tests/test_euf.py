@@ -391,13 +391,6 @@ def test_shared_evar_residue_reads_query_in_place(monkeypatch, assumed_cubes):
     assert len(assumed_cubes) == 410
 
 
-def test_nnf_hands_back_an_unchanged_formula():
-    # The tableaux DNF is a let-free positive disjunction of conjunctions of
-    # literals, so its negation normal form is the formula itself.
-    tab = compute_tableaux_ui(flatten(parse(shared_evar_text(6))))
-    assert nnf(tab.formula()) is tab.formula()
-
-
 def test_nnf_negates_a_conjunction_of_literals_into_one_clause():
     s = Sig()
     f = s.fn("f", 1)
