@@ -111,13 +111,11 @@ def step1(pre, budget: Budget = Budget(), stats: dict | None = None) -> list[Hor
     """
     if stats is None:
         stats = {"clauses_created": 0}
-    out: list[HornClause] = []
-    seen = set()
+    out: dict[HornClause, None] = {}  # insertion-ordered, each clause once
 
     def push(c):
-        if c is not None and c not in seen:
-            seen.add(c)
-            out.append(c)
+        if c is not None and c not in out:
+            out[c] = None
             stats["s2_size"] = len(out)
             budget.count(stats, "clauses_created")
 
@@ -136,7 +134,7 @@ def step1(pre, budget: Budget = Budget(), stats: dict | None = None) -> list[Hor
                 continue
             ante = [Eq(u, v) for u, v in zip(a.lhs.args, b.lhs.args)]
             push(make_clause(ante, Eq(a.rhs, b.rhs), keep_tautology=True))
-    return out
+    return list(out)
 
 
 def _rewrite_once(r: HornClause, c: HornClause) -> list[HornClause]:
@@ -289,7 +287,7 @@ class PhiDelta:
 
     entries: list
     core: list
-    placeholders: dict = field(default_factory=dict)  # original var -> fresh symbol
+    placeholders: dict  # original var -> fresh symbol
 
     def formula(self):
         wmap = {v: const(w) for v, w in self.placeholders.items()}

@@ -4,7 +4,8 @@ cc_sat decides conjunctions of ground (dis)equalities. euf_valid looks for
 a cc-satisfiable cube of the hypothesis and the negated conclusion over one
 backtrackable closure (Nieuwenhuis & Oliveras, Inf. & Comp. 2007). Each
 literal assumed spends a cube of the cap and checks the deadline, which is
-also checked before the query is read and at each let read.
+also checked before the query is read, at each let read and once every
+64 parts of an Or read.
 
 Queries of the shapes the engines produce go to `_walk_disjuncts`. The
 hypothesis becomes cubes: literals and ground Horn clauses `A ⇒ g` common
@@ -268,10 +269,8 @@ def _read(f, env, memo, ante, out, check) -> bool:
     for the others). Items true on their face and a = a in ante are left out."""
     kind = f.__class__
     if kind is Eq or kind is Ne:
-        if env:
-            lhs, rhs = term_substitute(f.lhs, env, memo), term_substitute(f.rhs, env, memo)
-            if lhs is not f.lhs or rhs is not f.rhs:
-                f = kind(lhs, rhs)
+        if env:  # literals are interned: an unchanged one comes back as itself
+            f = kind(term_substitute(f.lhs, env, memo), term_substitute(f.rhs, env, memo))
         if f.lhs is f.rhs:
             if kind is Eq:
                 return True
@@ -311,6 +310,8 @@ def _disjuncts(parts, env, check):
     n = len(parts)
     rows, cubes, dropped = {}, [], 0
     for i, d in enumerate(parts):
+        if i and not i & 63:
+            check()
         lits = _cube(d, env, check) if env else d.parts if d.__class__ is And else (d,)
         while True:
             if lits is None:
@@ -352,7 +353,11 @@ def _query(hyp, concl, check):
     lits, clauses, alternatives = [], [], None
     for ante, g, env in items:
         if g.__class__ is Or and not ante and alternatives is None:
-            alternatives = [_cube(p, env, check) for p in g.parts]
+            alternatives = []
+            for i, p in enumerate(g.parts):
+                if i and not i & 63:
+                    check()
+                alternatives.append(_cube(p, env, check))
         elif g.__class__ is Or or any(a.__class__ is Ne for a in ante):
             return None
         elif ante:

@@ -388,9 +388,9 @@ def format_formula(f, memo: dict | None = None, check=None) -> str:
         # Nested single-binding lets: one SMT-LIB let binds in parallel.
         opens = "".join(f"(let (({y.name} {format_term(t, check)})) " for y, t in f.bindings)
         text = opens + format_formula(f.body, memo, check) + ")" * len(f.bindings)
-    elif f is TRUE or isinstance(f, type(TRUE)):
+    elif f is TRUE:
         text = "true"
-    elif f is FALSE or isinstance(f, type(FALSE)):
+    elif f is FALSE:
         text = "false"
     else:
         raise TypeError(f"not a formula: {f!r}")

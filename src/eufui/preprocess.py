@@ -136,14 +136,16 @@ def flatten(problem, budget: Budget = Budget()) -> PreprocessedInput:
                 changed = True
                 break
 
-    # Rename surviving fresh variables densely, in first-emission order,
-    # continuing the eliminate numbering and skipping taken names.
+    # evars lists the live eliminated constants, then the surviving fresh variables,
+    # renamed densely in first-emission order past the eliminate numbering.
     epool = NamePool("e", taken, start=len(problem.eliminate))
     live = live_symbols(work)
+    pre.evars = [s for s in problem.eliminate if s in live]
     renumber: dict[Symbol, Term] = {}
     for old in introduced:
         if old in live:
             new = mk_symbol(epool.fresh(), 0, "quantified")
+            pre.evars.append(new)
             renumber[old] = const(new)
             pre.renaming[new] = pre.renaming.pop(old)
     if renumber:
@@ -160,16 +162,7 @@ def flatten(problem, budget: Budget = Budget()) -> PreprocessedInput:
         pre.eliminated[sym] = w
 
     pre.s1 = work
-    order = {s: i for i, s in enumerate(problem.eliminate)}
-    for old in introduced:
-        if old in renumber:
-            order[renumber[old].head] = len(order)
-    pre.evars = sorted(live_symbols(pre.s1), key=lambda s: order[s])
-    pre.taken_names = (
-        set(taken)
-        | {y.name for y, _ in pre.initial_delta}
-        | {s.name for s in pre.renaming}
-    )
+    pre.taken_names = taken | {y.name for y, _ in pre.initial_delta}
     return pre
 
 

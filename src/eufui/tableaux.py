@@ -164,11 +164,12 @@ class _Branch:
                 self.replace(k, lit_substitute(psi[k], mapping, memo))
 
     def retain(self, lit) -> None:
-        """Append lit, which is not in phi yet, to phi."""
-        self.phi.append(lit)
-        self.in_phi.add(lit)
-        if lit.__class__ is Ne:
-            _tally(self.apart, lit.atom, 1)
+        """Append lit to phi unless phi holds it."""
+        if lit not in self.in_phi:
+            self.phi.append(lit)
+            self.in_phi.add(lit)
+            if lit.__class__ is Ne:
+                _tally(self.apart, lit.atom, 1)
 
     def split(self, i: int, j: int, diffs, k: int) -> bool:
         """Apply rule 4's successor k to the pair psi[i], psi[j] with these argument diffs.
@@ -187,16 +188,14 @@ class _Branch:
         a, b = self.psi[i].rhs, self.psi[j].rhs
         self.remove(j)
         for eq in eqs:
-            if eq not in self.in_phi:
-                self.retain(eq)
+            self.retain(eq)
         if a is b:
             return False
         lit = orient(Eq(a, b))
         if self._code(lit) != _EFREE:
             self.add(lit)
             return False
-        if lit not in self.in_phi:
-            self.retain(lit)
+        self.retain(lit)
         return True
 
     def mark(self) -> tuple:
@@ -251,13 +250,13 @@ def compute_tableaux_ui(
         """Position of the first literal with this code in scan order."""
         return codes.index(code) if forward else len(codes) - 1 - codes[::-1].index(code)
 
-    # (t, u) -> None when rule 4 cannot split t and u, else, for each argument
-    # diff, its atom (`pair_key`), its oriented equation and its disequation.
+    # (t, u) -> None when rule 4 cannot split t and u (t is never u: rule 1.i goes
+    # first), else, for each diff, its atom (`pair_key`), oriented equation and disequation.
     splits: dict = {}
 
     def split_of(t, u):
         if (t, u) not in splits:
-            diffs = compatible(t, u) if t is not u else None
+            diffs = compatible(t, u)
             nes = diffs and [orient(Ne(a, b)) for a, b in diffs]
             splits[t, u] = diffs and ([ne.atom for ne in nes], [orient(Eq(a, b)) for a, b in diffs], nes)
         return splits[t, u]
@@ -291,9 +290,7 @@ def compute_tableaux_ui(
             b.eliminate(i, evar, const(y))
             return "2", "open"
         if code == _EFREE:
-            lit = b.remove(i)
-            if lit not in b.in_phi:
-                b.retain(lit)
+            b.retain(b.remove(i))
             return "3", "open"
         apps = [k for k, code in enumerate(codes) if code == _APP]
         for x, y in _pairs(len(apps), forward, b.resume):
@@ -339,10 +336,15 @@ def compute_tableaux_ui(
         budget.count(stats, "branches_explored")
         if outcome == "terminal" and keep(branch):
             phi = branch.phi
-            # in_phi and the blocking test keep each literal of phi once.
+            # retain keeps each literal of phi once.
             body = And(tuple(phi)) if len(phi) > 1 else mk_and(phi)
             disjuncts.append(wrap_definitions(branch.delta, body))
 
     formats = {}
-    disjuncts.sort(key=lambda d: format_formula(d, formats))
+
+    def text(d) -> str:
+        budget.check_time(stats)
+        return format_formula(d, formats)
+
+    disjuncts.sort(key=text)
     return UiResultDnf(disjuncts, stats, formats)

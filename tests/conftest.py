@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,14 +31,17 @@ def bench_workloads():
 
 @pytest.fixture
 def counting_clock(monkeypatch):
-    """The budget's clock, faked: each read returns how many reads there were."""
+    """The budget's clock, faked: each read returns how many reads there were,
+    and `callers` names the function that called `check_time` for each."""
 
     class CountingClock:
         reads = 0
+        callers: list[str] = []
 
         @classmethod
         def monotonic(cls):
             cls.reads += 1
+            cls.callers.append(sys._getframe(2).f_code.co_name)  # check_time's caller
             return float(cls.reads)
 
     monkeypatch.setattr(errors, "time", CountingClock)

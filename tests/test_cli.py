@@ -500,8 +500,8 @@ def test_timeout_bounds_each_engine_phase(phase, tmp_path, capsys):
         assert "branches_explored" in counters
     elif phase == "step2":
         assert (counters["s2_size"], counters["s3_size"]) == (48, 0)
-    else:
-        assert set(counters) == {"cubes_spent"} and counters["cubes_spent"] > 0
+    else:  # the oracle may stop while it reads the query, before its first cube
+        assert set(counters) == {"cubes_spent"}
 
 
 # Rule 2 in flattening: a chain of e-free definitions never reaches saturation.

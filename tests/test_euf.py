@@ -796,6 +796,21 @@ def test_walk_matches_reference_on_corpus_queries_seeded(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("side, reader", [("hyp", "_query"), ("concl", "_disjuncts")])
+def test_oracle_checks_deadline_while_reading_an_or(counting_clock, side, reader):
+    # A let-free Or of 128 parts, on either side, reads the clock once 64 of
+    # them are read: the deadline trips there, before any cube is spent.
+    s = Sig()
+    a, *bs = s.params("a", *[f"b{i}" for i in range(128)])
+    big = Or(tuple(Eq(a, b) for b in bs))
+    hyp, concl = (big, Eq(a, bs[0])) if side == "hyp" else (Eq(a, bs[0]), big)
+    assert euf_valid(hyp, concl)[0] is (side == "concl")
+    with pytest.raises(ResourceLimitError, match="timeout exceeded") as exc:
+        euf_valid(hyp, concl, Budget(deadline=1.5))
+    assert counting_clock.callers == ["euf_valid", reader]
+    assert exc.value.stats == {"cubes_spent": 0}
+
+
 def test_walk_checks_the_caps_at_each_assume_and_let(counting_clock):
     # Reads: one before the walk, one at the let, one per assume. a = c
     # and then a = d are held by the closure, so they cost no assume.

@@ -96,6 +96,9 @@ def test_reversed_strategy_same_ui():
         problem, ui = run_text(text, strategy="reversed")
         assert ui.stats["branches_explored"] > 0
         assert_equiv(ui.formula(), problem, target)
+    for kwargs, message in (({"strategy": "random"}, "unknown strategy"), ({"prune": "none"}, "unknown prune")):
+        with pytest.raises(ValueError, match=message):
+            compute_tableaux_ui(flatten(parse(EX22)), **kwargs)
 
 
 def test_semantic_prune_keeps_equivalence():
@@ -209,6 +212,19 @@ def test_timeout_reports_work_done(counting_clock):
         compute_tableaux_ui(pre, budget=Budget(deadline=200.0))
     assert counting_clock.reads == 201
     assert exc.value.stats["branches_explored"] > 0
+
+
+def test_timeout_trips_in_the_closing_sort(counting_clock):
+    # shared_evar_text(5)'s branch loop reads the clock 103 times; the sort
+    # that orders its 52 disjuncts reads it once per disjunct it formats.
+    pre = flatten(parse(shared_evar_text(5)))
+    full = compute_tableaux_ui(pre)
+    assert len(full.disjuncts) == 52
+    with pytest.raises(ResourceLimitError, match="timeout exceeded") as exc:
+        compute_tableaux_ui(pre, budget=Budget(deadline=103.5))
+    assert counting_clock.reads == 104
+    assert counting_clock.callers == ["compute_tableaux_ui"] * 103 + ["text"]
+    assert exc.value.stats == full.stats
 
 
 def test_falsified_input_gives_false():

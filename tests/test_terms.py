@@ -49,6 +49,9 @@ def test_intern_arity_mismatch():
     z1 = s.params("z1")[0]
     with pytest.raises(ValueError):
         intern(f, (z1,))
+    for kind, message in (("constant", "unknown symbol kind"), ("parameter", "must have arity 0")):
+        with pytest.raises(ValueError, match=message):
+            mk_symbol("g", 1, kind)
 
 
 def test_terms_are_freed_with_their_problem():
